@@ -85,6 +85,7 @@ fuzz:
 	$(GO) test -fuzz FuzzReadFrame -fuzztime 30s ./internal/accessory
 	$(GO) test -fuzz FuzzReliableReceiveResync -fuzztime 30s ./internal/accessory
 	$(GO) test -fuzz FuzzDecodeAcquisition -fuzztime 30s ./internal/csvio
+	$(GO) test -fuzz FuzzBatchRequest -fuzztime 10s ./internal/cloud
 	$(GO) test -fuzz FuzzUnmarshalSchedule -fuzztime 30s ./internal/cipher
 	$(GO) test -fuzz FuzzImportShared -fuzztime 30s ./internal/cipher
 

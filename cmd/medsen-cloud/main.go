@@ -45,8 +45,7 @@
 //	                poison jobs.
 //	-role=worker    no HTTP listener; the process pulls jobs from the
 //	                frontend at -frontend-url (heartbeating every
-//	                -heartbeat-interval) and posts results back. Equivalent
-//	                to cmd/medsen-worker.
+//	                -heartbeat-interval) and posts results back.
 //
 // Usage:
 //

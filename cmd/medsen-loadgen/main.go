@@ -11,10 +11,10 @@
 // additionally puts the hosted service in frontend mode (no in-process
 // analysis pool) and runs N lease-pulling worker daemons against it — the
 // distributed topology of `medsen-cloud -role=frontend` plus N
-// `medsen-worker` processes, collapsed into one binary for smoke runs; it
-// requires -async, since synchronous uploads never touch the work queue. The
-// run is fully deterministic in -seed: capture bytes, dedup draws, and the
-// optional fault schedule all derive from it.
+// `medsen-cloud -role=worker` processes, collapsed into one binary for
+// smoke runs; it requires -async, since synchronous uploads never touch the
+// work queue. The run is fully deterministic in -seed: capture bytes, dedup
+// draws, and the optional fault schedule all derive from it.
 //
 // -json writes the machine-readable result document (the same numbers the
 // benchmark harness publishes next to BENCH_*.json); -prom writes the run

@@ -130,17 +130,19 @@ func (s *Service) auditEvent(p auth.Principal, action, object, outcome, detail s
 	}
 }
 
-// scopedCaptureKey namespaces an idempotency key by the submitting tenant.
-// Without this an explicit Idempotency-Key chosen (or guessed) by one
-// patient could collide with another's and hand back the other tenant's
-// analysis — a cross-tenant information leak through the dedup index.
-// Subject-less principals (clinic, admin, anonymous) share the global
-// namespace, preserving the pre-auth dedup semantics.
-func scopedCaptureKey(p auth.Principal, key string) string {
-	if p.Subject == "" {
+// scopedCaptureKey namespaces an idempotency key by its tenant subject: the
+// submitting key's subject, or a batch's resolved owner, so batch and single
+// submissions of one capture dedup together. Without this an explicit
+// Idempotency-Key chosen (or guessed) by one patient could collide with
+// another's and hand back the other tenant's analysis — a cross-tenant
+// information leak through the dedup index. Subject-less principals (clinic,
+// admin, anonymous) share the global namespace, preserving the pre-auth
+// dedup semantics.
+func scopedCaptureKey(subject, key string) string {
+	if subject == "" {
 		return key
 	}
-	return "subj:" + p.Subject + "|" + key
+	return "subj:" + subject + "|" + key
 }
 
 // KeyInfo is the wire form of one API key's metadata. The secret is never

@@ -444,6 +444,43 @@ func TestAdminAuditPaging(t *testing.T) {
 	}
 }
 
+// TestSyncSubmitAuditsOutcomes: a sync submit is audited under
+// analysis.create with the batch item vocabulary — stored, deduplicated
+// (detail "dedup") and failed (detail: the error code) — including the
+// resubmission of a subject-less clinic key, which shares the global key
+// namespace with every other subject-less caller.
+func TestSyncSubmitAuditsOutcomes(t *testing.T) {
+	f := newAuthFixture(t, "")
+	ctx := context.Background()
+	clinic := f.client(f.clinicKey)
+	_, payload := testCapture(t, 305, 10)
+
+	sub, err := clinic.SubmitCompressed(ctx, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := clinic.SubmitCompressed(ctx, payload)
+	if err != nil || again.ID != sub.ID {
+		t.Fatalf("resubmission = %+v, %v; want a dedup to %s", again, err, sub.ID)
+	}
+	if _, err := clinic.SubmitCompressed(ctx, []byte("not a zip")); !errors.Is(err, ErrInvalidRequest) {
+		t.Fatalf("garbage submit: %v, want ErrInvalidRequest", err)
+	}
+
+	var got []string
+	for _, r := range f.log.Snapshot("", "analysis.create") {
+		got = append(got, r.Object+" "+r.Outcome+" "+r.Detail)
+	}
+	want := []string{
+		sub.ID + " " + audit.OutcomeOK + " ",
+		sub.ID + " " + audit.OutcomeOK + " dedup",
+		" " + audit.OutcomeError + " " + CodeInvalidRequest,
+	}
+	if strings.Join(got, "|") != strings.Join(want, "|") {
+		t.Fatalf("analysis.create records = %q, want %q", got, want)
+	}
+}
+
 // TestAuditChainPersistsAndRejectsTamper is the startup-verification
 // acceptance criterion end to end: the trail survives a service restart,
 // keeps chaining, and a flipped byte makes the next open fail.

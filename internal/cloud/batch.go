@@ -87,16 +87,6 @@ type BatchResponse struct {
 	Failed    int               `json:"failed"`
 }
 
-// scopedBatchKey namespaces an item's capture key by its resolved tenant,
-// producing the same scoped key a single submission by that tenant's own key
-// would, so batch and single submissions of one capture dedup together.
-func scopedBatchKey(owner, key string) string {
-	if owner == "" {
-		return key
-	}
-	return "subj:" + owner + "|" + key
-}
-
 // rejectBatch counts and answers a whole-batch rejection.
 func (s *Service) rejectBatch(w http.ResponseWriter, status int, code string, err error) {
 	s.mu.Lock()
@@ -223,11 +213,10 @@ func batchItemError(index, status int, code string, err error) BatchItemResult {
 	}
 }
 
-// submitBatchItem runs one item through the synchronous submission machinery
-// — claim, analyze, store, complete — reporting the outcome in the item's
-// result slot instead of the response writer. Items run sequentially, so an
-// intra-batch duplicate sees its sibling's completed claim and dedups to the
-// sibling's analysis.
+// submitBatchItem runs one item through the inline submission path,
+// reporting the outcome in the item's result slot instead of the response
+// writer. Items run sequentially, so an intra-batch duplicate sees its
+// sibling's completed claim and dedups to the sibling's analysis.
 func (s *Service) submitBatchItem(index int, item BatchItem, owner string, p auth.Principal) BatchItemResult {
 	if len(item.Payload) == 0 {
 		return batchItemError(index, http.StatusBadRequest, CodeInvalidRequest,
@@ -237,55 +226,9 @@ func (s *Service) submitBatchItem(index int, item BatchItem, owner string, p aut
 	if err != nil {
 		return batchItemError(index, http.StatusBadRequest, CodeInvalidRequest, err)
 	}
-	key = scopedBatchKey(owner, key)
-
-	s.mu.Lock()
-	analysisID, job, outcome := s.claimCaptureLocked(key)
-	var report Report
-	if outcome == claimDone {
-		report = s.analyses[analysisID].Report
+	res := s.submitInline(item.Payload, scopedCaptureKey(owner, key), owner, p, "analysis.batch_item", false)
+	if res.err != nil {
+		return batchItemError(index, res.status, res.code, res.err)
 	}
-	s.mu.Unlock()
-	switch outcome {
-	case claimDone:
-		s.auditEvent(p, "analysis.batch_item", analysisID, audit.OutcomeOK, "dedup")
-		return BatchItemResult{Index: index, Status: http.StatusOK, ID: analysisID, Report: &report}
-	case claimInFlight, claimJob:
-		err := errors.New("an identical capture is already being analyzed; retry for its result")
-		if job.ID != "" {
-			err = fmt.Errorf("an identical capture is owned by job %s", job.ID)
-		}
-		return batchItemError(index, http.StatusConflict, CodeDuplicateInFlight, err)
-	}
-
-	report, code, err := s.runAnalysis(item.Payload)
-	if err != nil {
-		s.mu.Lock()
-		s.releaseCaptureLocked(key)
-		s.metrics.UploadErrors++
-		s.mu.Unlock()
-		status := http.StatusInternalServerError
-		switch code {
-		case CodeInvalidRequest:
-			status = http.StatusBadRequest
-		case CodeUnprocessable:
-			status = http.StatusUnprocessableEntity
-		}
-		s.auditEvent(p, "analysis.batch_item", "", audit.OutcomeError, code)
-		return batchItemError(index, status, code, err)
-	}
-	s.mu.Lock()
-	id, err := s.storeReportLocked(report, owner)
-	if err == nil {
-		s.completeCaptureLocked(key, id)
-	} else {
-		s.releaseCaptureLocked(key)
-	}
-	s.mu.Unlock()
-	if err != nil {
-		s.auditEvent(p, "analysis.batch_item", "", audit.OutcomeError, CodeInternal)
-		return batchItemError(index, http.StatusInternalServerError, CodeInternal, err)
-	}
-	s.auditEvent(p, "analysis.batch_item", id, audit.OutcomeOK, "")
-	return BatchItemResult{Index: index, Status: http.StatusCreated, ID: id, Report: &report}
+	return BatchItemResult{Index: index, Status: res.status, ID: res.id, Report: &res.report}
 }

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -392,4 +394,63 @@ func TestBatchDuplicateStormExactlyOnce(t *testing.T) {
 	if len(list) != captures {
 		t.Fatalf("stored analyses = %d, want %d", len(list), captures)
 	}
+}
+
+// FuzzBatchRequest sends arbitrary bodies to the batch handler of a
+// MemStore-backed service. The handler must never panic and must answer 200,
+// 400 or 413; an admitted batch answers exactly one result per item, in
+// item order.
+func FuzzBatchRequest(f *testing.F) {
+	svc, err := NewService(ServiceConfig{Store: NewMemStore(), Workers: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(svc.Close)
+	handler := svc.Handler()
+
+	_, payload := testCapture(f, 901, 0.05)
+	valid, err := json.Marshal(BatchRequest{Items: []BatchItem{
+		{Payload: payload},
+		{Payload: payload},
+		{IdempotencyKey: "k", Payload: []byte("not a zip")},
+	}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add([]byte(`{"items":[]}`))
+	f.Add([]byte(`{"items":[{"payload":"AAAA"},{"owner":"x","payload":"AAAA"}]}`))
+	f.Add([]byte(`{"items":[` + strings.Repeat(`{},`, MaxBatchItems) + `{}]}`))
+	f.Add([]byte(`{"items":[{"idempotency_key":"` + strings.Repeat("k", 201) + `","payload":"AAAA"}]}`))
+	f.Add([]byte("not json"))
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/analyses:batch", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+			return
+		case http.StatusOK:
+		default:
+			t.Fatalf("status %d for body %q", rec.Code, body)
+		}
+		// The handler decodes the first JSON value of the body; so does this.
+		var req BatchRequest
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+			t.Fatalf("200 for a body that does not decode: %v", err)
+		}
+		var resp BatchResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("undecodable 200 response: %v", err)
+		}
+		if len(resp.Results) != len(req.Items) || resp.Succeeded+resp.Failed != len(req.Items) {
+			t.Fatalf("%d items answered %d results (%d ok, %d failed)",
+				len(req.Items), len(resp.Results), resp.Succeeded, resp.Failed)
+		}
+		for i, r := range resp.Results {
+			if r.Index != i {
+				t.Fatalf("result %d carries index %d", i, r.Index)
+			}
+		}
+	})
 }

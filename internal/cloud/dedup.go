@@ -76,13 +76,11 @@ type dedupEntry struct {
 	pending bool
 }
 
-// claimOutcome is the result of resolving a capture key for a synchronous
-// submission.
+// claimOutcome is what a capture key resolves to in the index.
 type claimOutcome int
 
 const (
-	// claimNew: a pending reservation was registered; the caller runs the
-	// analysis and must complete or release the claim.
+	// claimNew: nothing owns the capture; the caller may run it.
 	claimNew claimOutcome = iota
 	// claimDone: the capture already has a stored analysis.
 	claimDone
@@ -92,37 +90,47 @@ const (
 	claimJob
 )
 
-// claimCaptureLocked resolves key against the index for a synchronous
-// submission, registering a pending reservation on a miss. Callers must
-// hold s.mu.
-func (s *Service) claimCaptureLocked(key string) (analysisID string, job Job, out claimOutcome) {
-	if e := s.dedup[key]; e != nil {
-		switch {
-		case e.analysisID != "":
-			s.metrics.DedupHits++
-			return e.analysisID, Job{}, claimDone
-		case e.pending:
-			s.metrics.DedupHits++
-			return "", Job{}, claimInFlight
-		case e.jobID != "":
-			if qj, live := s.jobs[e.jobID]; live && qj.Status != JobFailed && qj.Status != JobPoisoned {
-				s.metrics.DedupHits++
-				return "", qj.Job, claimJob
-			}
-			// The owning job failed or vanished without a stored analysis:
-			// this attempt may legitimately re-run the capture.
-		}
+// lookupCaptureLocked resolves what key owns, for every submission path,
+// and counts a dedup hit when something does. out ranks a stored analysis
+// first, then a pending synchronous reservation, then a live job (one not
+// failed or poisoned); job is set whenever the owning job is live, even
+// behind a stored analysis, so the async path can answer with the job record
+// ahead of the analysis. A key whose job failed or vanished without a stored
+// analysis resolves to claimNew: a retry may legitimately re-run the
+// capture. Callers must hold s.mu.
+func (s *Service) lookupCaptureLocked(key string) (analysisID string, job Job, out claimOutcome) {
+	e := s.dedup[key]
+	if e == nil {
+		return "", Job{}, claimNew
 	}
-	s.insertDedupLocked(&dedupEntry{key: key, pending: true})
-	return "", Job{}, claimNew
+	if qj := s.jobs[e.jobID]; qj != nil && qj.Status != JobFailed && qj.Status != JobPoisoned {
+		job = qj.Job
+	}
+	switch {
+	case e.analysisID != "":
+		out = claimDone
+	case e.pending:
+		out = claimInFlight
+	case job.ID != "":
+		out = claimJob
+	default:
+		return "", Job{}, claimNew
+	}
+	s.metrics.DedupHits++
+	return e.analysisID, job, out
 }
 
-// releaseCaptureLocked drops a pending reservation after a failed or shed
-// synchronous attempt, so the client's retry can run the capture again.
-// Completed entries are left alone. Callers must hold s.mu.
-func (s *Service) releaseCaptureLocked(key string) {
-	if e := s.dedup[key]; e != nil && e.pending {
+// releaseCaptureLocked drops the claim a failed attempt holds on key — a
+// pending synchronous reservation (jobID "") or jobID's ownership — so a
+// retry of the capture may run: the index guarantees exactly-once success,
+// not at-most-once attempts. A stored analysis is never released. Callers
+// must hold s.mu.
+func (s *Service) releaseCaptureLocked(key, jobID string) {
+	if e := s.dedup[key]; e != nil && e.jobID == jobID && e.analysisID == "" {
 		delete(s.dedup, key)
+		if jobID != "" {
+			s.removeDedupDocLocked(key)
+		}
 	}
 }
 
@@ -137,16 +145,6 @@ func (s *Service) completeCaptureLocked(key, analysisID string) {
 	e.pending = false
 	e.analysisID = analysisID
 	s.journalDedupLocked(e)
-}
-
-// dropCaptureLocked removes a failed job's claim on its capture key — the
-// index guarantees exactly-once success, not at-most-once attempts, so a
-// retry of the capture must be allowed to run. Callers must hold s.mu.
-func (s *Service) dropCaptureLocked(key, jobID string) {
-	if e := s.dedup[key]; e != nil && e.jobID == jobID && e.analysisID == "" {
-		delete(s.dedup, key)
-		s.removeDedupDocLocked(key)
-	}
 }
 
 // insertDedupLocked registers an entry and enforces the count bound.
@@ -212,7 +210,7 @@ func (s *Service) journalDedupLocked(e *dedupEntry) {
 	doc := persistedDedup{Key: e.key, JobID: e.jobID, AnalysisID: e.analysisID, Seq: e.seq}
 	body, err := encodeBodyExtras(doc, nil)
 	if err == nil {
-		err = s.persistPut(KindDedup, dedupDocID(e.key), body)
+		err = s.persistPut(KindDedup, dedupDocID(e.key), body, false)
 	}
 	if err != nil {
 		s.metrics.DedupJournalErrors++

@@ -10,11 +10,14 @@ package cloud
 // store until writes succeed again, at which point the service heals itself
 // back to read-write with no operator action.
 //
-// Entry is deliberately conservative: one failed Put does not degrade — a
-// single injected fault or transient hiccup would otherwise flap the whole
-// instance — the failure must be *confirmed* by an immediate store probe
-// also failing. Exit is eager: any successful durable write, or a successful
-// recovery probe, clears the mode.
+// Entry is deliberately conservative. Only a write whose failure fails the
+// request — an analysis, a job enqueue, a user link — can degrade; a
+// best-effort journal write (dedup index, job transition) is counted and
+// never degrades a service that has just answered its request. And one
+// failed Put does not degrade either — a single injected fault or transient
+// hiccup would otherwise flap the whole instance — the failure must be
+// *confirmed* by an immediate store probe also failing. Exit is eager: any
+// successful durable write, or a successful recovery probe, clears the mode.
 
 import (
 	"errors"
@@ -32,8 +35,9 @@ const defaultStoreRecoveryInterval = time.Second
 // degradation, recovery — which have no HTTP principal behind them.
 const storeActor = "store"
 
-// noteStoreWrite observes the outcome of one durable write. Often called
-// with s.mu held, so it must never take s.mu (see auditStoreEvent).
+// noteStoreWrite observes the outcome of one durable write: every success,
+// and the failures of required writes (persistPut). Often called with s.mu
+// held, so it must never take s.mu (see auditStoreEvent).
 func (s *Service) noteStoreWrite(err error) {
 	if err == nil {
 		if s.degraded.Load() {
@@ -114,7 +118,7 @@ func (s *Service) admitMutation(w http.ResponseWriter) bool {
 // enough to outlast a recovery-probe cycle.
 const degradedRetryAfter = 5 * time.Second
 
-// auditStoreEvent records a store lifecycle event. Unlike auditSystemEvent
+// auditStoreEvent records a store lifecycle event. Unlike auditReaperEvents
 // it is safe to call with s.mu held: append failures are counted in the
 // auditErrs atomic (folded into AuditJournalErrors by Snapshot) instead of
 // locking s.mu for the metrics field.

@@ -510,51 +510,76 @@ func TestRejectedSubmissionLeavesNoIDGap(t *testing.T) {
 }
 
 // TestPersistFailureNoGhostAnalysis injects a persistence failure into the
-// synchronous submit path (the document's temp path is blocked by a
-// directory, the portable stand-in for an unwritable StateDir) and checks
-// nothing leaks: no ghost analysis, no counted upload, no burned id.
+// synchronous submit path and the batch item path (the document's temp path
+// is blocked by a directory, the portable stand-in for an unwritable
+// StateDir) and checks nothing leaks: no ghost analysis, no counted upload,
+// no burned id — and the failure is counted as an upload error.
 func TestPersistFailureNoGhostAnalysis(t *testing.T) {
-	dir := t.TempDir()
-	ctx := context.Background()
-	if err := os.Mkdir(filepath.Join(dir, "an-1.json.tmp"), 0o700); err != nil {
-		t.Fatal(err)
-	}
-	_, _, client := newPersistentServer(t, dir)
-	acq, _ := testCapture(t, 115, 10)
+	acq, payload := testCapture(t, 115, 10)
+	for _, tc := range []struct {
+		name   string
+		submit func(context.Context, *Client) (SubmitResponse, error)
+	}{
+		{"sync", func(ctx context.Context, client *Client) (SubmitResponse, error) {
+			return client.SubmitAcquisition(ctx, acq)
+		}},
+		{"batch", func(ctx context.Context, client *Client) (SubmitResponse, error) {
+			resp, err := client.SubmitBatch(ctx, []BatchSubmission{{Payload: payload}})
+			if err != nil {
+				return SubmitResponse{}, err
+			}
+			if r := resp.Results[0]; r.Error != nil {
+				return SubmitResponse{}, &APIError{Code: r.Error.Code, Message: r.Error.Message, Status: r.Status}
+			}
+			return SubmitResponse{ID: resp.Results[0].ID}, nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			ctx := context.Background()
+			if err := os.Mkdir(filepath.Join(dir, "an-1.json.tmp"), 0o700); err != nil {
+				t.Fatal(err)
+			}
+			_, _, client := newPersistentServer(t, dir)
 
-	_, err := client.SubmitAcquisition(ctx, acq)
-	if !errors.Is(err, ErrInternal) {
-		t.Fatalf("submit with broken persistence: %v, want ErrInternal", err)
-	}
-	if _, err := client.GetReport(ctx, "an-1"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("ghost analysis visible: %v", err)
-	}
-	list, err := client.ListAnalyses(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(list) != 0 {
-		t.Fatalf("ghost analyses listed: %+v", list)
-	}
+			_, err := tc.submit(ctx, client)
+			if !errors.Is(err, ErrInternal) {
+				t.Fatalf("submit with broken persistence: %v, want ErrInternal", err)
+			}
+			if _, err := client.GetReport(ctx, "an-1"); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("ghost analysis visible: %v", err)
+			}
+			list, err := client.ListAnalyses(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(list) != 0 {
+				t.Fatalf("ghost analyses listed: %+v", list)
+			}
 
-	// Repair the directory: the retried upload reuses an-1, proving the
-	// counter was not bumped by the failure.
-	if err := os.Remove(filepath.Join(dir, "an-1.json.tmp")); err != nil {
-		t.Fatal(err)
-	}
-	sub, err := client.SubmitAcquisition(ctx, acq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.ID != "an-1" {
-		t.Fatalf("retried id = %s, want an-1", sub.ID)
-	}
-	metrics, err := fetchMetrics(ctx, client)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if metrics.Uploads != 1 {
-		t.Fatalf("Uploads = %d, want 1 (failure must not count)", metrics.Uploads)
+			// Repair the directory: the retried upload reuses an-1, proving the
+			// counter was not bumped by the failure.
+			if err := os.Remove(filepath.Join(dir, "an-1.json.tmp")); err != nil {
+				t.Fatal(err)
+			}
+			sub, err := tc.submit(ctx, client)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sub.ID != "an-1" {
+				t.Fatalf("retried id = %s, want an-1", sub.ID)
+			}
+			metrics, err := fetchMetrics(ctx, client)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if metrics.Uploads != 1 {
+				t.Fatalf("Uploads = %d, want 1 (failure must not count)", metrics.Uploads)
+			}
+			if metrics.UploadErrors != 1 {
+				t.Fatalf("UploadErrors = %d, want 1 (the failed store is an upload error)", metrics.UploadErrors)
+			}
+		})
 	}
 }
 

@@ -89,7 +89,7 @@ func TestUnknownFieldsSurviveRoundTrip(t *testing.T) {
 		svc.mu.Unlock()
 		t.Fatal(err)
 	}
-	if err := svc.persistJob(svc.jobs["job-1"], nil); err != nil {
+	if err := svc.persistJob(svc.jobs["job-1"], nil, true); err != nil {
 		svc.mu.Unlock()
 		t.Fatal(err)
 	}
@@ -324,6 +324,36 @@ func TestStoreRecoveryProber(t *testing.T) {
 			t.Fatal("prober did not recover the service")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestBestEffortJournalFaultNeverDegrades replays the sequence behind the
+// disk chaos soak's "StoreDegraded after healing" flake: a submission's
+// analysis write lands, the best-effort dedup-journal write behind it fails,
+// and so would the confirming probe. The request is answered 201, so the
+// service must stay read-write: the journal failure is only counted.
+func TestBestEffortJournalFaultNeverDegrades(t *testing.T) {
+	store := newFaultStore()
+	svc, err := NewService(ServiceConfig{Store: store, StoreRecoveryInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(svc.Close)
+	ts := httptest.NewServer(svc.Handler())
+	t.Cleanup(ts.Close)
+	client := &Client{BaseURL: ts.URL}
+
+	_, payload := testCapture(t, 613, 10)
+	store.failNext(KindDedup, 1)
+	if _, err := client.SubmitCompressed(context.Background(), payload); err != nil {
+		t.Fatalf("submit with a faulted dedup journal: %v", err)
+	}
+	m := svc.Snapshot()
+	if m.StoreDegraded != 0 {
+		t.Fatal("a best-effort journal fault degraded a service that had just answered 201")
+	}
+	if m.DedupJournalErrors != 1 {
+		t.Fatalf("DedupJournalErrors = %d, want 1", m.DedupJournalErrors)
 	}
 }
 

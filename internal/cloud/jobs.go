@@ -240,28 +240,17 @@ func (s *Service) enqueueJob(payload []byte, key, owner string) (job Job, dedupe
 		return Job{}, false, false, errShutdown
 	}
 	s.evictJobsLocked()
-	if key != "" {
-		if e := s.dedup[key]; e != nil {
-			if e.pending {
-				s.metrics.DedupHits++
-				return Job{}, true, false, errDuplicateInFlight
-			}
-			if e.jobID != "" {
-				if qj, live := s.jobs[e.jobID]; live && qj.Status != JobFailed && qj.Status != JobPoisoned {
-					s.metrics.DedupHits++
-					return qj.Job, true, true, nil
-				}
-			}
-			if e.analysisID != "" {
-				// The owning job record was evicted (or the capture came in
-				// synchronously) but its analysis is stored: answer a
-				// synthesized done job so the caller skips polling entirely.
-				s.metrics.DedupHits++
-				return Job{Status: JobDone, AnalysisID: e.analysisID}, true, true, nil
-			}
-			// The owning job failed or vanished without a stored analysis:
-			// this submission may legitimately re-run the capture.
-		}
+	analysisID, live, out := s.lookupCaptureLocked(key)
+	switch {
+	case out == claimInFlight:
+		return Job{}, true, false, errDuplicateInFlight
+	case live.ID != "":
+		return live, true, true, nil
+	case out == claimDone:
+		// The owning job record was evicted (or the capture came in
+		// synchronously) but its analysis is stored: answer a synthesized
+		// done job so the caller skips polling entirely.
+		return Job{Status: JobDone, AnalysisID: analysisID}, true, true, nil
 	}
 	// A duplicate creates no new work, so only fresh admissions are shed.
 	if after, shed := s.shedLocked(false); shed {
@@ -278,7 +267,7 @@ func (s *Service) enqueueJob(payload []byte, key, owner string) (job Job, dedupe
 	}
 	s.nextJobID++
 	qj := &queuedJob{Job: Job{ID: id, Status: JobQueued, Owner: owner}, payload: payload, captureKey: key}
-	if err := s.persistJob(qj, payload); err != nil {
+	if err := s.persistJob(qj, payload, true); err != nil {
 		// The job was never registered: the id stays burned, the worker
 		// ignores the orphaned queue entry, and no dedup entry exists to
 		// block the caller's retry. The caller sees the error instead of a
@@ -295,12 +284,11 @@ func (s *Service) enqueueJob(payload []byte, key, owner string) (job Job, dedupe
 	return qj.Job, false, true, nil
 }
 
-// runJob executes one queued analysis: decompress, analyze, store — the
-// same work the synchronous handler does inline, with two layers of armor a
-// worker needs: panics become terminal "internal" failures (the pool and
-// the service survive a poisoned capture), and the execution deadline turns
-// a runaway analysis into a terminal "deadline_exceeded" failure instead of
-// a silently pinned worker slot.
+// runJob executes one queued analysis with the same analyze and commit
+// steps as every other path, plus the execution deadline, which turns a
+// runaway analysis into a terminal "deadline_exceeded" failure instead of a
+// silently pinned worker slot. Any failure is terminal for an in-process
+// job (failAttemptLocked).
 func (s *Service) runJob(id string) {
 	s.mu.Lock()
 	qj, ok := s.jobs[id]
@@ -339,90 +327,34 @@ func (s *Service) runJob(id string) {
 	}
 	outCh := make(chan analysisOutcome, 1)
 	go func() {
-		report, code, err := s.runAnalysis(payload)
+		report, code, err := analyzeUpload(payload, s.cfg, s.analyze)
 		outCh <- analysisOutcome{report, code, err}
 	}()
-	var out analysisOutcome
+	// Without a job timeout the deadline channel stays nil and never fires.
+	var deadline <-chan time.Time
 	if s.jobTimeout > 0 {
 		timer := time.NewTimer(s.jobTimeout)
 		defer timer.Stop()
-		select {
-		case out = <-outCh:
-		case <-timer.C:
-			s.failJob(qj, CodeDeadlineExceeded,
-				fmt.Errorf("analysis exceeded the %s execution deadline", s.jobTimeout))
-			// The runaway analysis keeps its goroutine until it returns
-			// on its own; the terminal-status guard drops its outcome.
-			return
-		}
-	} else {
-		out = <-outCh
+		deadline = timer.C
 	}
-	if out.err != nil {
-		s.failJob(qj, out.code, out.err)
-		return
+	var out analysisOutcome
+	select {
+	case out = <-outCh:
+	case <-deadline:
+		// The runaway analysis keeps its goroutine until it returns on its
+		// own; its outcome lands in the buffered channel unread.
+		out.code = CodeDeadlineExceeded
+		out.err = fmt.Errorf("analysis exceeded the %s execution deadline", s.jobTimeout)
 	}
-	s.mu.Lock()
-	if qj.Status.Terminal() {
-		// The deadline beat us while the store path waited for the lock.
-		s.mu.Unlock()
-		return
-	}
-	analysisID, err := s.storeReportLocked(out.report, qj.Owner)
-	if err == nil {
-		qj.Status = JobDone
-		qj.AnalysisID = analysisID
-		qj.doneAt = s.now()
-		qj.History = append(qj.History, Attempt{
-			Worker: workerInProcess, StartedAtUnix: qj.startedAt.Unix(), Outcome: attemptCompleted,
-		})
-		s.metrics.JobsCompleted++
-		s.queueEst.observe(qj.doneAt.Sub(qj.startedAt))
-		s.journalJobLocked(qj, nil)
-		if qj.captureKey != "" {
-			s.completeCaptureLocked(qj.captureKey, analysisID)
-		}
-		s.evictJobsLocked()
-	}
-	s.mu.Unlock()
-	if err != nil {
-		s.failJob(qj, CodeInternal, err)
-	}
-}
-
-// failJob marks a job failed, journals the outcome, and counts the error.
-// An already-terminal job is left alone: a late analysis outcome must not
-// overwrite the deadline failure that preceded it.
-func (s *Service) failJob(qj *queuedJob, code string, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if qj.Status.Terminal() {
-		return
+	if out.err == nil {
+		out.code = CodeInternal
+		_, out.err = s.commitReportLocked(out.report, qj.Owner, qj.captureKey, qj)
 	}
-	qj.Status = JobFailed
-	qj.ErrorCode = code
-	qj.Error = err.Error()
-	qj.payload = nil
-	qj.doneAt = s.now()
-	worker := qj.WorkerID
-	if worker == "" {
-		worker = workerInProcess
+	if out.err != nil {
+		s.failAttemptLocked(qj, attemptFailed, out.code, out.err.Error(), true)
 	}
-	qj.History = append(qj.History, Attempt{
-		Worker: worker, StartedAtUnix: qj.startedAt.Unix(), Outcome: attemptFailed, Detail: err.Error(),
-	})
-	qj.WorkerID = ""
-	s.metrics.JobsFailed++
-	s.metrics.UploadErrors++
-	if !qj.startedAt.IsZero() {
-		s.queueEst.observe(qj.doneAt.Sub(qj.startedAt))
-	}
-	if qj.captureKey != "" {
-		// The capture never succeeded: release its key so a retry re-runs it.
-		s.dropCaptureLocked(qj.captureKey, qj.ID)
-	}
-	s.journalJobLocked(qj, nil)
-	s.evictJobsLocked()
 }
 
 // evictJobsLocked drops terminal job records past the TTL or in excess of

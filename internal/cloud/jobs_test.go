@@ -21,7 +21,7 @@ import (
 
 // testCapture returns one deterministic compressed capture plus its
 // acquisition.
-func testCapture(t *testing.T, seed uint64, durationS float64) (lockin.Acquisition, []byte) {
+func testCapture(t testing.TB, seed uint64, durationS float64) (lockin.Acquisition, []byte) {
 	t.Helper()
 	s := quietSensor()
 	sample := microfluidic.NewSample(10, map[microfluidic.Type]float64{

@@ -231,10 +231,10 @@ type ServiceConfig struct {
 	Audit *audit.Log
 	// ExternalWorkers switches the service to pull mode: the in-process
 	// worker pool is not started, and async jobs wait for worker daemons
-	// (cmd/medsen-worker, or medsen-cloud -role=worker) to lease them over
-	// the internal workqueue API. The acquire/heartbeat/complete endpoints
-	// are served either way — a frontend with the pool running can still
-	// hand work to external workers.
+	// (medsen-cloud -role=worker) to lease them over the internal workqueue
+	// API. The acquire/heartbeat/complete endpoints are served either way —
+	// a frontend with the pool running can still hand work to external
+	// workers.
 	ExternalWorkers bool
 	// LeaseTTL bounds one worker lease: a leased job whose holder has not
 	// heartbeat-renewed within it is reclaimed and re-enqueued by the
@@ -373,16 +373,17 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 		return nil, err
 	}
 	// Settle leases recovered from the journal now that the dedup index is
-	// loaded: a lease whose analysis already committed resolves to done, an
-	// expired one is reclaimed (or quarantined) back onto the pending list,
-	// a still-valid one stays leased for its holder to finish.
-	pending = append(pending, s.reconcileLeasesLocked()...)
+	// loaded, exactly as the reaper would: a committed lease resolves to
+	// done, an expired one is reclaimed (or quarantined) onto the requeue
+	// list, a still-valid one stays leased for its holder to finish.
+	s.auditReaperEvents(s.reclaimLeasesLocked())
 	// The channel must hold every recovered job on top of a full queue of
 	// new submissions, or re-enqueueing would block startup.
-	s.jobCh = make(chan string, cfg.QueueDepth+len(pending))
+	s.jobCh = make(chan string, cfg.QueueDepth+len(pending)+len(s.requeue))
 	for _, id := range pending {
 		s.jobCh <- id
 	}
+	s.drainRequeueLocked()
 	if !s.externalWorkers {
 		s.startJobWorkers()
 	}
@@ -533,7 +534,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	// Idempotency keys are namespaced per tenant so one patient's key (or a
 	// guessed digest) can never resolve to another patient's analysis.
-	key = scopedCaptureKey(p, key)
+	key = scopedCaptureKey(p.Subject, key)
 	switch async := r.URL.Query().Get("async"); async {
 	case "", "0", "false":
 	case "1", "true":
@@ -545,106 +546,21 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeInvalidRequest, fmt.Errorf("bad async parameter %q", async))
 		return
 	}
-	s.handleSubmitSync(w, body, key, p)
-}
-
-// handleSubmitSync runs the inline analysis with the idempotency index
-// wrapped around it: a duplicate of a completed capture answers 200 with the
-// original result, a duplicate of in-flight work answers 409
-// duplicate_in_flight + Retry-After, and only a genuinely new capture — one
-// that also survives the priority-lane shed check — is analyzed.
-func (s *Service) handleSubmitSync(w http.ResponseWriter, body []byte, key string, p auth.Principal) {
-	s.mu.Lock()
-	analysisID, job, outcome := s.claimCaptureLocked(key)
-	var report Report
-	if outcome == claimDone {
-		report = s.analyses[analysisID].Report
+	// The sync path: a duplicate of a stored capture answers 200 with the
+	// original result, one in flight 409 duplicate_in_flight + Retry-After,
+	// and only a new capture that survives the priority-lane shed check runs.
+	res := s.submitInline(body, key, p.Subject, p, "analysis.create", true)
+	if res.jobID != "" {
+		w.Header().Set("Location", "/api/v1/jobs/"+res.jobID)
 	}
-	var shedAfter time.Duration
-	var shed bool
-	if outcome == claimNew {
-		if shedAfter, shed = s.shedLocked(true); shed {
-			s.releaseCaptureLocked(key)
-		}
+	if res.retryAfter > 0 {
+		writeRetryAfter(w, res.retryAfter)
 	}
-	s.mu.Unlock()
-	switch outcome {
-	case claimDone:
-		// 200, not 201: nothing new was created.
-		writeJSON(w, http.StatusOK, SubmitResponse{ID: analysisID, Report: report})
-		return
-	case claimInFlight, claimJob:
-		if job.ID != "" {
-			w.Header().Set("Location", "/api/v1/jobs/"+job.ID)
-		}
-		writeRetryAfter(w, retryAfterSeconds*time.Second)
-		writeError(w, http.StatusConflict, CodeDuplicateInFlight,
-			errors.New("an identical capture is already being analyzed; retry for its result"))
+	if res.err != nil {
+		writeError(w, res.status, res.code, res.err)
 		return
 	}
-	if shed {
-		writeRetryAfter(w, shedAfter)
-		writeError(w, http.StatusTooManyRequests, CodeOverloaded,
-			errors.New("estimated queue wait exceeds the shedding limit; retry later"))
-		return
-	}
-	report, code, err := s.runAnalysis(body)
-	if err != nil {
-		s.mu.Lock()
-		s.releaseCaptureLocked(key)
-		s.mu.Unlock()
-		s.countUploadError()
-		status := http.StatusInternalServerError
-		switch code {
-		case CodeInvalidRequest:
-			status = http.StatusBadRequest
-		case CodeUnprocessable:
-			status = http.StatusUnprocessableEntity
-		}
-		writeError(w, status, code, err)
-		return
-	}
-	s.mu.Lock()
-	id, err := s.storeReportLocked(report, p.Subject)
-	if err == nil {
-		s.completeCaptureLocked(key, id)
-	} else {
-		// The analysis was never stored: release the claim so a retry can
-		// run the capture again.
-		s.releaseCaptureLocked(key)
-	}
-	s.mu.Unlock()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, CodeInternal, err)
-		return
-	}
-	s.auditEvent(p, "analysis.create", id, audit.OutcomeOK, "")
-	writeJSON(w, http.StatusCreated, SubmitResponse{ID: id, Report: report})
-}
-
-// runAnalysis decompresses and analyzes one upload, converting panics into
-// internal errors: a poisoned capture must fail its own request (or job),
-// never take down the serving goroutine or a pool worker. On failure the
-// returned code is the wire error code for the outcome.
-func (s *Service) runAnalysis(payload []byte) (report Report, code string, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			report, code, err = Report{}, CodeInternal, fmt.Errorf("analysis panicked: %v", r)
-		}
-	}()
-	// The decode buffer is recycled once the analysis is done: the report
-	// carries copies of everything it needs, never the raw samples.
-	buf := decodeBufPool.Get().(*csvio.DecodeBuffer)
-	defer decodeBufPool.Put(buf)
-	acq, err := csvio.DecompressAcquisitionBuffer(payload, buf)
-	if err != nil {
-		return Report{}, CodeInvalidRequest, err
-	}
-	report, err = s.analyze(acq, s.cfg)
-	if err != nil {
-		return Report{}, CodeUnprocessable, err
-	}
-	return report, "", nil
+	writeJSON(w, res.status, SubmitResponse{ID: res.id, Report: res.report})
 }
 
 // storeProbe verifies the durable backend accepts writes. Without a backend
@@ -654,23 +570,6 @@ func (s *Service) storeProbe() error {
 		return nil
 	}
 	return s.store.Probe()
-}
-
-// storeReportLocked assigns an analysis id, stores and persists the report
-// under its owner principal, and counts the upload. Persistence happens
-// before any in-memory commit: a failed write must not leave a ghost
-// analysis readable at GET /api/v1/analyses/{id} or inflate the upload
-// counter. Callers must hold s.mu.
-func (s *Service) storeReportLocked(report Report, owner string) (string, error) {
-	id := "an-" + strconv.Itoa(s.nextID+1)
-	stored := &storedAnalysis{Report: report, Owner: owner}
-	if err := s.persistAnalysis(id, stored); err != nil {
-		return "", err
-	}
-	s.nextID++
-	s.metrics.Uploads++
-	s.analyses[id] = stored
-	return id, nil
 }
 
 // AnalysisSummary is one row of the analyses listing.
@@ -914,13 +813,6 @@ func (s *Service) handleUserAnalyses(w http.ResponseWriter, r *http.Request) {
 	sortAnalysisIDs(ids)
 	ids = paginate(w, ids, limit, offset)
 	writeJSON(w, http.StatusOK, map[string][]string{"analysis_ids": ids})
-}
-
-// countUploadError increments the upload failure counter.
-func (s *Service) countUploadError() {
-	s.mu.Lock()
-	s.metrics.UploadErrors++
-	s.mu.Unlock()
 }
 
 // Metrics are the service's lifetime counters, exposed at GET /metrics for

@@ -46,20 +46,22 @@ func (s *Service) persistAnalysis(id string, stored *storedAnalysis) error {
 	if err != nil {
 		return fmt.Errorf("cloud: encoding %s: %w", id, err)
 	}
-	return s.persistPut(KindAnalysis, id, body)
+	return s.persistPut(KindAnalysis, id, body, true)
 }
 
 // persistPut wraps a document body in the checksummed envelope, commits it
-// through the store, and feeds the degraded-mode tracker with the outcome
-// (degraded.go): a write failure confirmed by a probe flips the service
-// read-only, a success heals it.
-func (s *Service) persistPut(kind DocKind, id string, body []byte) error {
+// through the store, and feeds the degraded-mode tracker (degraded.go): a
+// success heals the service, and a failed required write — one whose error
+// fails the request — flips it read-only once a probe confirms the failure.
+func (s *Service) persistPut(kind DocKind, id string, body []byte, required bool) error {
 	env, err := encodeEnvelope(kind, id, body)
 	if err != nil {
 		return fmt.Errorf("cloud: encoding %s: %w", id, err)
 	}
 	err = s.store.Put(kind, id, env)
-	s.noteStoreWrite(err)
+	if err == nil || required {
+		s.noteStoreWrite(err)
+	}
 	return err
 }
 
@@ -120,7 +122,7 @@ type persistedJob struct {
 	Owner string `json:"owner,omitempty"`
 	// Attempts, WorkerID, LeaseExpiryUnix and History journal the lease
 	// state, so a frontend restart reconciles an outstanding lease instead
-	// of forgetting it (workqueue.go reconcileLeasesLocked).
+	// of forgetting it (workqueue.go reclaimLeasesLocked).
 	Attempts        int       `json:"attempts,omitempty"`
 	WorkerID        string    `json:"worker_id,omitempty"`
 	LeaseExpiryUnix int64     `json:"lease_expiry_unix,omitempty"`
@@ -132,9 +134,9 @@ type persistedJob struct {
 const jobFilePrefix = "job-"
 
 // persistJob journals one job's current state (no-op without a backend).
-// payload is written only while the job is non-terminal. Callers must hold
-// s.mu.
-func (s *Service) persistJob(qj *queuedJob, payload []byte) error {
+// payload is written only while the job is non-terminal; required marks the
+// enqueue write, whose error fails the submission. Callers must hold s.mu.
+func (s *Service) persistJob(qj *queuedJob, payload []byte, required bool) error {
 	if s.store == nil {
 		return nil
 	}
@@ -166,7 +168,7 @@ func (s *Service) persistJob(qj *queuedJob, payload []byte) error {
 	if err != nil {
 		return fmt.Errorf("cloud: encoding %s: %w", qj.ID, err)
 	}
-	return s.persistPut(KindJob, qj.ID, body)
+	return s.persistPut(KindJob, qj.ID, body, required)
 }
 
 // journalJobLocked is persistJob for mid-run transitions, where no HTTP
@@ -175,7 +177,7 @@ func (s *Service) persistJob(qj *queuedJob, payload []byte) error {
 // and is surfaced through the JobJournalErrors counter. Callers must hold
 // s.mu.
 func (s *Service) journalJobLocked(qj *queuedJob, payload []byte) {
-	if err := s.persistJob(qj, payload); err != nil {
+	if err := s.persistJob(qj, payload, false); err != nil {
 		s.metrics.JobJournalErrors++
 	}
 }
@@ -268,7 +270,7 @@ func (s *Service) loadJobs() (pending []string, err error) {
 			}
 		case doc.Status == JobLeased:
 			// A live lease from the previous process: restore it intact.
-			// reconcileLeasesLocked (called once the dedup index is loaded)
+			// reclaimLeasesLocked (called once the dedup index is loaded)
 			// settles it — to the committed analysis, a clean re-enqueue, or
 			// quarantine — so the job is never left stuck.
 			qj.payload = doc.Payload

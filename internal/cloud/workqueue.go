@@ -221,14 +221,7 @@ func (s *Service) resolveCommittedLocked(qj *queuedJob) bool {
 	if e == nil || e.analysisID == "" {
 		return false
 	}
-	qj.Status = JobDone
-	qj.AnalysisID = e.analysisID
-	qj.WorkerID = ""
-	qj.payload = nil
-	qj.leaseExpiry = time.Time{}
-	qj.doneAt = s.now()
-	s.metrics.JobsCompleted++
-	s.journalJobLocked(qj, nil)
+	s.jobDoneLocked(qj, e.analysisID)
 	s.evictJobsLocked()
 	return true
 }
@@ -304,29 +297,12 @@ func (s *Service) handleComplete(w http.ResponseWriter, r *http.Request) {
 		s.mu.Unlock()
 		return
 	}
-	analysisID, err := s.storeReportLocked(req.Report, qj.Owner)
+	analysisID, err := s.commitReportLocked(req.Report, qj.Owner, qj.captureKey, qj)
+	s.mu.Unlock()
 	if err != nil {
-		s.mu.Unlock()
 		writeError(w, http.StatusInternalServerError, CodeInternal, err)
 		return
 	}
-	qj.Status = JobDone
-	qj.AnalysisID = analysisID
-	qj.WorkerID = ""
-	qj.payload = nil
-	qj.leaseExpiry = time.Time{}
-	qj.doneAt = s.now()
-	qj.History = append(qj.History, Attempt{
-		Worker: req.WorkerID, StartedAtUnix: qj.startedAt.Unix(), Outcome: attemptCompleted,
-	})
-	s.metrics.JobsCompleted++
-	s.queueEst.observe(qj.doneAt.Sub(qj.startedAt))
-	s.journalJobLocked(qj, nil)
-	if qj.captureKey != "" {
-		s.completeCaptureLocked(qj.captureKey, analysisID)
-	}
-	s.evictJobsLocked()
-	s.mu.Unlock()
 	s.auditEvent(p, "job.complete", id, audit.OutcomeOK,
 		fmt.Sprintf("worker=%s analysis=%s", req.WorkerID, analysisID))
 	writeJSON(w, http.StatusOK, CompleteResponse{AnalysisID: analysisID})
@@ -356,57 +332,14 @@ func (s *Service) handleFail(w http.ResponseWriter, r *http.Request) {
 		s.mu.Unlock()
 		return
 	}
-	qj.History = append(qj.History, Attempt{
-		Worker: req.WorkerID, StartedAtUnix: qj.startedAt.Unix(),
-		Outcome: attemptFailed, Detail: req.Message,
-	})
-	qj.WorkerID = ""
-	qj.leaseExpiry = time.Time{}
-	var action, detail string
-	if s.maxAttempts > 0 && qj.Attempts >= s.maxAttempts {
-		s.quarantineLocked(qj, req.Code,
-			fmt.Errorf("attempt budget exhausted after %d attempts; last error: %s", qj.Attempts, req.Message))
-		action, detail = "job.quarantine", fmt.Sprintf("worker=%s attempts=%d", req.WorkerID, qj.Attempts)
-	} else {
-		qj.Status = JobQueued
-		qj.startedAt = time.Time{}
-		s.requeueLocked(qj.ID)
-		s.journalJobLocked(qj, qj.payload)
-		action, detail = "job.fail", fmt.Sprintf("worker=%s attempt=%d code=%s", req.WorkerID, qj.Attempts, req.Code)
+	action, detail := "job.fail", fmt.Sprintf("worker=%s attempt=%d code=%s", req.WorkerID, qj.Attempts, req.Code)
+	if s.failAttemptLocked(qj, attemptFailed, req.Code, req.Message, false) == JobPoisoned {
+		action = "job.quarantine"
 	}
 	job := qj.Job
 	s.mu.Unlock()
 	s.auditEvent(p, action, id, audit.OutcomeError, detail)
 	writeJSON(w, http.StatusOK, job)
-}
-
-// quarantineLocked moves a job to terminal poisoned: the attempt budget is
-// spent, so retrying would only burn another worker on the same capture.
-// The capture key is released — quarantine is a statement about this job's
-// history, not a verdict on the capture, so a fresh submission may try
-// again with a fresh budget. Callers must hold s.mu and must have recorded
-// the final attempt in the history already.
-func (s *Service) quarantineLocked(qj *queuedJob, code string, reason error) {
-	qj.Status = JobPoisoned
-	qj.ErrorCode = code
-	qj.Error = reason.Error()
-	qj.WorkerID = ""
-	qj.payload = nil
-	qj.leaseExpiry = time.Time{}
-	qj.doneAt = s.now()
-	qj.History = append(qj.History, Attempt{
-		Worker: workerReaper, StartedAtUnix: qj.doneAt.Unix(),
-		Outcome: attemptQuarantined, Detail: reason.Error(),
-	})
-	s.metrics.JobsPoisoned++
-	if !qj.startedAt.IsZero() {
-		s.queueEst.observe(qj.doneAt.Sub(qj.startedAt))
-	}
-	if qj.captureKey != "" {
-		s.dropCaptureLocked(qj.captureKey, qj.ID)
-	}
-	s.journalJobLocked(qj, nil)
-	s.evictJobsLocked()
 }
 
 // requeueLocked puts a job id back in line: into the channel when it has
@@ -460,69 +393,66 @@ func (s *Service) stopReaper() {
 	s.reaperWG.Wait()
 }
 
-// reapLeases is one reaper tick: reclaim or quarantine every expired lease,
-// move overflow requeue entries into the channel for the in-process pool,
-// and sweep departed workers from the active-gauge map. Tests drive it
+// reapLeases is one reaper tick: settle every lease that can no longer
+// stand, move overflow requeue entries into the channel for the in-process
+// pool, and sweep departed workers from the active-gauge map. Tests drive it
 // directly with a pinned clock.
 func (s *Service) reapLeases() {
-	type reaped struct {
-		id     string
-		action string
-		detail string
-	}
-	var events []reaped
 	s.mu.Lock()
-	now := s.now()
-	for _, qj := range s.jobs {
-		if qj.Status != JobLeased || qj.leaseExpiry.After(now) {
-			continue
-		}
-		s.metrics.LeaseExpirations++
-		worker := qj.WorkerID
-		if s.resolveCommittedLocked(qj) {
-			// The worker committed its analysis but died before the done
-			// transition (crash between store and journal is impossible —
-			// both happen under the lock — but complete's response can be
-			// lost). The stored result stands; nothing re-runs.
-			events = append(events, reaped{qj.ID, "job.complete",
-				fmt.Sprintf("worker=%s resolved to committed analysis after lease expiry", worker)})
-			continue
-		}
-		qj.History = append(qj.History, Attempt{
-			Worker: worker, StartedAtUnix: qj.startedAt.Unix(), Outcome: attemptReclaimed,
-			Detail: fmt.Sprintf("lease expired after %d attempts", qj.Attempts),
-		})
-		qj.WorkerID = ""
-		qj.leaseExpiry = time.Time{}
-		if s.maxAttempts > 0 && qj.Attempts >= s.maxAttempts {
-			s.quarantineLocked(qj, CodePoisoned,
-				fmt.Errorf("attempt budget exhausted: %d leases expired or failed without a committed analysis", qj.Attempts))
-			events = append(events, reaped{qj.ID, "job.quarantine",
-				fmt.Sprintf("worker=%s attempts=%d", worker, qj.Attempts)})
-			continue
-		}
-		qj.Status = JobQueued
-		qj.startedAt = time.Time{}
-		s.metrics.JobsReclaimed++
-		s.requeueLocked(qj.ID)
-		s.journalJobLocked(qj, qj.payload)
-		events = append(events, reaped{qj.ID, "job.reclaim",
-			fmt.Sprintf("worker=%s attempt=%d lease expired", worker, qj.Attempts)})
-	}
+	events := s.reclaimLeasesLocked()
 	// With the in-process pool running, overflow requeue entries must reach
 	// the channel the pool blocks on.
 	if !s.externalWorkers {
 		s.drainRequeueLocked()
 	}
+	now := s.now()
 	for id, seen := range s.workerSeen {
 		if now.Sub(seen) > 2*s.leaseTTL {
 			delete(s.workerSeen, id)
 		}
 	}
 	s.mu.Unlock()
-	for _, e := range events {
-		s.auditSystemEvent(e.action, e.id, e.detail)
+	s.auditReaperEvents(events)
+}
+
+// reaperEvent is one lease decision for the audit trail.
+type reaperEvent struct{ id, action, detail string }
+
+// reclaimLeasesLocked settles the leases the reaper tick — or, at startup,
+// the journal — hands it:
+//
+//   - a lease whose capture already committed resolves to done, expired or
+//     not: the stored result stands (exactly-once), nothing re-runs;
+//   - an expired lease ends its attempt as reclaimed (failAttemptLocked):
+//     requeued within the attempt budget, quarantined past it;
+//   - a valid lease stays with its holder.
+//
+// Reclaimed jobs land on the requeue list. Callers must hold s.mu.
+func (s *Service) reclaimLeasesLocked() []reaperEvent {
+	var events []reaperEvent
+	now := s.now()
+	for _, qj := range s.jobs {
+		if qj.Status != JobLeased {
+			continue
+		}
+		worker := qj.WorkerID
+		if s.resolveCommittedLocked(qj) {
+			events = append(events, reaperEvent{qj.ID, "job.complete",
+				fmt.Sprintf("worker=%s resolved to committed analysis", worker)})
+			continue
+		}
+		if qj.leaseExpiry.After(now) {
+			continue
+		}
+		s.metrics.LeaseExpirations++
+		action := "job.reclaim"
+		if s.failAttemptLocked(qj, attemptReclaimed, CodePoisoned, "lease expired", false) == JobPoisoned {
+			action = "job.quarantine"
+		}
+		events = append(events, reaperEvent{qj.ID, action,
+			fmt.Sprintf("worker=%s attempt=%d lease expired", worker, qj.Attempts)})
 	}
+	return events
 }
 
 // drainRequeueLocked moves overflow requeue entries into the channel while
@@ -551,66 +481,23 @@ func (s *Service) activeWorkersLocked() int {
 	return n
 }
 
-// auditSystemEvent records a reaper decision in the audit trail under the
-// reaper's own actor name — there is no HTTP principal behind it.
-func (s *Service) auditSystemEvent(action, object, detail string) {
+// auditReaperEvents records reaper decisions in the audit trail under the
+// reaper's own actor name — there is no HTTP principal behind them.
+func (s *Service) auditReaperEvents(events []reaperEvent) {
 	if s.auditLog == nil {
 		return
 	}
-	if _, err := s.auditLog.Append(audit.Record{
-		Actor:   workerReaper,
-		Action:  action,
-		Object:  object,
-		Outcome: audit.OutcomeOK,
-		Detail:  detail,
-	}); err != nil {
-		s.mu.Lock()
-		s.metrics.AuditJournalErrors++
-		s.mu.Unlock()
+	for _, e := range events {
+		if _, err := s.auditLog.Append(audit.Record{
+			Actor:   workerReaper,
+			Action:  e.action,
+			Object:  e.id,
+			Outcome: audit.OutcomeOK,
+			Detail:  e.detail,
+		}); err != nil {
+			s.mu.Lock()
+			s.metrics.AuditJournalErrors++
+			s.mu.Unlock()
+		}
 	}
-}
-
-// reconcileLeasesLocked settles leases restored from the journal at startup,
-// returning ids to re-enqueue. Runs from NewService after loadJobs and
-// loadDedup, before anything else touches the maps:
-//
-//   - lease's analysis already committed → done (exactly-once: the result
-//     the worker stored before the crash stands);
-//   - lease expired → reclaim within the attempt budget, quarantine past
-//     it — exactly what the reaper would do;
-//   - lease still valid → keep it; its worker heartbeats against the
-//     restarted frontend as if nothing happened.
-//
-// Either way a journaled lease never comes back as a stuck running job.
-func (s *Service) reconcileLeasesLocked() (pending []string) {
-	now := s.now()
-	for _, qj := range s.jobs {
-		if qj.Status != JobLeased {
-			continue
-		}
-		if s.resolveCommittedLocked(qj) {
-			continue
-		}
-		if qj.leaseExpiry.After(now) {
-			continue
-		}
-		s.metrics.LeaseExpirations++
-		qj.History = append(qj.History, Attempt{
-			Worker: qj.WorkerID, StartedAtUnix: qj.startedAt.Unix(), Outcome: attemptReclaimed,
-			Detail: fmt.Sprintf("lease expired across a frontend restart after %d attempts", qj.Attempts),
-		})
-		qj.WorkerID = ""
-		qj.leaseExpiry = time.Time{}
-		if s.maxAttempts > 0 && qj.Attempts >= s.maxAttempts {
-			s.quarantineLocked(qj, CodePoisoned,
-				fmt.Errorf("attempt budget exhausted: %d leases expired or failed without a committed analysis", qj.Attempts))
-			continue
-		}
-		qj.Status = JobQueued
-		qj.startedAt = time.Time{}
-		s.metrics.JobsReclaimed++
-		s.journalJobLocked(qj, qj.payload)
-		pending = append(pending, qj.ID)
-	}
-	return pending
 }

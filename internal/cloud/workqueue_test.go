@@ -409,7 +409,12 @@ func TestFrontendRestartWithLiveLease(t *testing.T) {
 
 	t.Run("expired lease re-enqueues", func(t *testing.T) {
 		dir := t.TempDir()
-		svc, ts, client := newLeaseServer(t, ServiceConfig{StateDir: dir, LeaseTTL: 50 * time.Millisecond})
+		svc, ts, client := newLeaseServer(t, ServiceConfig{StateDir: dir, LeaseTTL: time.Hour})
+		// The first frontend's clock runs two hours behind: the hour-long
+		// lease it grants has lapsed by the restarted frontend's clock, but
+		// never by its own, so its reaper cannot reclaim the lease before the
+		// crash however slowly the acquire journals it.
+		pinClock(svc)(-2 * time.Hour)
 		_, payload := testCapture(t, 505, 10)
 		job, err := client.SubmitCompressedAsync(ctx, payload)
 		if err != nil {
@@ -419,7 +424,6 @@ func TestFrontendRestartWithLiveLease(t *testing.T) {
 			t.Fatalf("acquire = %+v, %v", g, err)
 		}
 		svc.Close()
-		time.Sleep(80 * time.Millisecond) // the lease lapses while the frontend is down
 		svc2, client2 := restart(t, ts, dir, ServiceConfig{LeaseTTL: time.Hour})
 
 		// Startup reconciliation reclaimed it: queued again, attempt history

@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"medsen/internal/cloud"
-	"medsen/internal/csvio"
 )
 
 // Fault is a chaos instruction for one leased job, injected by tests via
@@ -208,7 +207,7 @@ func (w *Worker) runJob(ctx context.Context, grant cloud.LeaseGrant) error {
 	}()
 	defer hbWG.Wait()
 
-	report, code, runErr := w.analyze(grant.Payload)
+	report, code, runErr := cloud.AnalyzeUpload(grant.Payload, w.cfg.Analysis)
 	if jobCtx.Err() != nil && ctx.Err() == nil {
 		// The heartbeat lost the lease mid-analysis: abandon silently.
 		return nil
@@ -247,25 +246,4 @@ func (w *Worker) heartbeat(ctx context.Context, cancel context.CancelFunc, jobID
 			}
 		}
 	}
-}
-
-// analyze decompresses and runs the pipeline on one payload, mapping the
-// outcome onto the frontend's fail-code vocabulary and converting panics
-// into internal failures — a poisoned capture must fail its job, not kill
-// the worker slot.
-func (w *Worker) analyze(payload []byte) (report cloud.Report, code string, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			report, code, err = cloud.Report{}, cloud.CodeInternal, fmt.Errorf("analysis panicked: %v", r)
-		}
-	}()
-	acq, err := csvio.DecompressAcquisition(payload)
-	if err != nil {
-		return cloud.Report{}, cloud.CodeInvalidRequest, err
-	}
-	report, err = cloud.Analyze(acq, w.cfg.Analysis)
-	if err != nil {
-		return cloud.Report{}, cloud.CodeUnprocessable, err
-	}
-	return report, "", nil
 }
