@@ -40,7 +40,8 @@ bench-compare:
 # regression (a re-boxed sort, a lost arena) is 2×+. B/op shares the
 # amortization noise (400% headroom still catches the 100×-class misses)
 # and ns/op is machine-dependent, so both are effectively advisory here
-# (bench-compare is the full check).
+# (bench-compare is the full check). Both compares run the harness at the
+# baseline's recorded GOMAXPROCS.
 bench-gate:
 	$(GO) run ./cmd/medsen-bench -compare BENCH_10.json -bench-time 200ms \
 		-threshold-allocs 25 -threshold-bytes 400 -threshold-ns 1000000
@@ -86,6 +87,8 @@ fuzz:
 	$(GO) test -fuzz FuzzReliableReceiveResync -fuzztime 30s ./internal/accessory
 	$(GO) test -fuzz FuzzDecodeAcquisition -fuzztime 30s ./internal/csvio
 	$(GO) test -fuzz FuzzBatchRequest -fuzztime 10s ./internal/cloud
+	$(GO) test -fuzz FuzzWorkqueueBodies -fuzztime 10s ./internal/cloud
+	$(GO) test -fuzz FuzzDecodeEnvelope -fuzztime 10s ./internal/cloud
 	$(GO) test -fuzz FuzzUnmarshalSchedule -fuzztime 30s ./internal/cipher
 	$(GO) test -fuzz FuzzImportShared -fuzztime 30s ./internal/cipher
 

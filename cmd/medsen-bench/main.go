@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"time"
 
 	"medsen/internal/benchharness"
@@ -92,13 +93,26 @@ type harnessConfig struct {
 // runHarness obtains the current suite (from -current, or by running the
 // benchmarks), optionally records it, and optionally gates it against a
 // baseline. A regression is an error so the process exits non-zero — the CI
-// contract.
+// contract. A compare that runs the benchmarks runs them at the baseline's
+// recorded GOMAXPROCS, and says so.
 func runHarness(cfg harnessConfig, stdout io.Writer) error {
-	var current benchharness.Suite
+	var baseline, current benchharness.Suite
 	var err error
+	if cfg.compareFile != "" {
+		if baseline, err = readSuite(cfg.compareFile); err != nil {
+			return err
+		}
+	}
 	if cfg.currentFile != "" {
 		current, err = readSuite(cfg.currentFile)
 	} else {
+		// A workload that parallelizes per CPU allocates per worker, so
+		// only the baseline's own setting compares like with like.
+		if procs := baseline.GOMAXPROCS; procs > 0 {
+			fmt.Fprintf(stdout, "measuring at GOMAXPROCS=%d as recorded in %s (this machine's default: %d)\n",
+				procs, cfg.compareFile, runtime.GOMAXPROCS(0))
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		}
 		current, err = benchharness.Run(benchharness.Options{Filter: cfg.filter, BenchTime: cfg.benchTime})
 	}
 	if err != nil {
@@ -132,10 +146,6 @@ func runHarness(cfg harnessConfig, stdout io.Writer) error {
 			current.FormatTable(stdout)
 		}
 		return nil
-	}
-	baseline, err := readSuite(cfg.compareFile)
-	if err != nil {
-		return err
 	}
 	regs := benchharness.Compare(baseline, current, cfg.thresholds)
 	current.FormatTable(stdout)

@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"medsen/internal/benchharness"
 	"medsen/internal/experiments"
@@ -125,5 +128,48 @@ func TestRunHarnessMissingBaseline(t *testing.T) {
 	}, &out)
 	if err == nil {
 		t.Fatal("missing baseline must fail")
+	}
+}
+
+// TestRunHarnessCompareMeasuresAtBaselineGOMAXPROCS: a compare that runs the
+// harness runs it at the GOMAXPROCS the baseline recorded, says so, records
+// that setting in the current suite, and restores the process's own after.
+func TestRunHarnessCompareMeasuresAtBaselineGOMAXPROCS(t *testing.T) {
+	own := runtime.GOMAXPROCS(0)
+	procs := own + 1
+	dir := t.TempDir()
+	baseline := harnessSuite(1, 1)
+	baseline.GOMAXPROCS = procs
+	baseline.Results[0].Name = "ClassifyDiagnose"
+	base := writeSuite(t, dir, "base.json", baseline)
+	outPath := filepath.Join(dir, "cur.json")
+	var out bytes.Buffer
+	err := runHarness(harnessConfig{
+		jsonOut:     outPath,
+		compareFile: base,
+		filter:      "ClassifyDiagnose",
+		benchTime:   time.Millisecond,
+		thresholds:  benchharness.Thresholds{NsPct: 1e12, AllocsPct: 1e12, BytesPct: 1e12},
+	}, &out)
+	if err != nil {
+		t.Fatalf("runHarness: %v\n%s", err, out.String())
+	}
+	if want := fmt.Sprintf("measuring at GOMAXPROCS=%d as recorded in %s", procs, base); !strings.Contains(out.String(), want) {
+		t.Fatalf("output lacks %q:\n%s", want, out.String())
+	}
+	f, err := os.Open(outPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	cur, err := benchharness.ReadJSON(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cur.GOMAXPROCS != procs {
+		t.Fatalf("current suite ran at GOMAXPROCS=%d, want the baseline's %d", cur.GOMAXPROCS, procs)
+	}
+	if got := runtime.GOMAXPROCS(0); got != own {
+		t.Fatalf("GOMAXPROCS left at %d, want %d restored", got, own)
 	}
 }

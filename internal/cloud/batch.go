@@ -180,9 +180,7 @@ func (s *Service) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	if shed {
-		writeRetryAfter(w, shedAfter)
-		writeError(w, http.StatusTooManyRequests, CodeOverloaded,
-			errors.New("estimated queue wait exceeds the shedding limit; retry later"))
+		writeSubmitResult(w, shedResult(shedAfter))
 		return
 	}
 

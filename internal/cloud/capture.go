@@ -50,18 +50,27 @@ func analyzeUpload(payload []byte, cfg AnalysisConfig,
 	return report, "", nil
 }
 
-// inlineResult is one inline submission's outcome for its handler to render:
-// status 201 stored, 200 deduplicated, 409 in flight (jobID names a live
-// owning job), 429 shed, or another 4xx/5xx failure; code and err are set
+// submitResult is one submission's outcome for its handler to render. Inline
+// (sync and batch): status 201 stored, 200 deduplicated, 409 in flight
+// (location names a live owning job). Async: 202 with job, the new or owning
+// job or a synthesized done one, located at its record or analysis. Either:
+// 429 shed or queue full, or another 4xx/5xx failure; code and err are set
 // from 400 up, retryAfter on 409 and 429.
-type inlineResult struct {
+type submitResult struct {
 	status     int
 	id         string
 	report     Report
+	job        *Job
 	code       string
 	err        error
-	jobID      string
+	location   string
 	retryAfter time.Duration
+}
+
+// shedResult is the 429 overloaded outcome of a shed submission.
+func shedResult(after time.Duration) submitResult {
+	return submitResult{status: http.StatusTooManyRequests, code: CodeOverloaded, retryAfter: after,
+		err: errors.New("estimated queue wait exceeds the shedding limit; retry later")}
 }
 
 // claimCaptureLocked resolves key for an inline submission: a stored or
@@ -69,27 +78,26 @@ type inlineResult struct {
 // priority lane when shed is set, else reserved with a pending entry and
 // answered with status 0 — the caller then owns the capture and must commit
 // or release it. Callers must hold s.mu.
-func (s *Service) claimCaptureLocked(key string, shed bool) inlineResult {
+func (s *Service) claimCaptureLocked(key string, shed bool) submitResult {
 	analysisID, job, out := s.lookupCaptureLocked(key)
 	switch out {
 	case claimDone:
-		return inlineResult{status: http.StatusOK, id: analysisID, report: s.analyses[analysisID].Report}
+		return submitResult{status: http.StatusOK, id: analysisID, report: s.analyses[analysisID].Report}
 	case claimInFlight, claimJob:
-		err := errors.New("an identical capture is already being analyzed; retry for its result")
+		err, location := errors.New("an identical capture is already being analyzed; retry for its result"), ""
 		if job.ID != "" {
-			err = fmt.Errorf("an identical capture is owned by job %s", job.ID)
+			err, location = fmt.Errorf("an identical capture is owned by job %s", job.ID), "/api/v1/jobs/"+job.ID
 		}
-		return inlineResult{status: http.StatusConflict, code: CodeDuplicateInFlight, err: err,
-			jobID: job.ID, retryAfter: retryAfterSeconds * time.Second}
+		return submitResult{status: http.StatusConflict, code: CodeDuplicateInFlight, err: err,
+			location: location, retryAfter: retryAfterSeconds * time.Second}
 	}
 	if shed {
 		if after, ok := s.shedLocked(true); ok {
-			return inlineResult{status: http.StatusTooManyRequests, code: CodeOverloaded, retryAfter: after,
-				err: errors.New("estimated queue wait exceeds the shedding limit; retry later")}
+			return shedResult(after)
 		}
 	}
 	s.insertDedupLocked(&dedupEntry{key: key, pending: true})
-	return inlineResult{}
+	return submitResult{}
 }
 
 // submitInline runs one capture through claim → analyze → commit-or-release
@@ -98,7 +106,7 @@ func (s *Service) claimCaptureLocked(key string, shed bool) inlineResult {
 // deduplicated (detail "dedup") and failed (detail: the error code) outcomes
 // are audited under auditAction. A failed analysis or store counts as an
 // upload error and releases the reservation, so a retry runs the capture.
-func (s *Service) submitInline(payload []byte, key, owner string, p auth.Principal, auditAction string, shed bool) inlineResult {
+func (s *Service) submitInline(payload []byte, key, owner string, p auth.Principal, auditAction string, shed bool) submitResult {
 	s.mu.Lock()
 	res := s.claimCaptureLocked(key, shed)
 	s.mu.Unlock()
@@ -129,10 +137,10 @@ func (s *Service) submitInline(payload []byte, key, owner string, p auth.Princip
 		case CodeUnprocessable:
 			status = http.StatusUnprocessableEntity
 		}
-		return inlineResult{status: status, code: code, err: err}
+		return submitResult{status: status, code: code, err: err}
 	}
 	s.auditEvent(p, auditAction, id, audit.OutcomeOK, "")
-	return inlineResult{status: http.StatusCreated, id: id, report: report}
+	return submitResult{status: http.StatusCreated, id: id, report: report}
 }
 
 // commitReportLocked is the commit every path ends in: it stores report under
@@ -238,7 +246,7 @@ func (s *Service) failAttemptLocked(qj *queuedJob, outcome, code, detail string,
 		if outcome == attemptReclaimed {
 			s.metrics.JobsReclaimed++
 		}
-		s.requeueLocked(qj.ID)
+		s.queueJobLocked(qj.ID)
 		s.journalJobLocked(qj, qj.payload)
 		return JobQueued
 	}

@@ -51,10 +51,6 @@ func captureKeyFor(header string, payload []byte) (string, error) {
 	return header, nil
 }
 
-// errDuplicateInFlight rejects a submission whose capture key is owned by a
-// synchronous analysis still in flight.
-var errDuplicateInFlight = errors.New("cloud: an identical capture is already being analyzed")
-
 // defaultMaxDedupEntries caps the index; completed entries past it are
 // evicted oldest-first, after which a very late replay of an ancient capture
 // would re-run — at-least-once, never lost.

@@ -145,14 +145,14 @@ func (s *Service) startStoreRecovery() {
 	if s.store == nil || s.storeRecovery <= 0 {
 		return
 	}
-	s.degWG.Add(1)
+	s.bgWG.Add(1)
 	go func() {
-		defer s.degWG.Done()
+		defer s.bgWG.Done()
 		t := time.NewTicker(s.storeRecovery)
 		defer t.Stop()
 		for {
 			select {
-			case <-s.degStop:
+			case <-s.stop:
 				return
 			case <-t.C:
 				if s.degraded.Load() && s.store.Probe() == nil {
@@ -161,16 +161,4 @@ func (s *Service) startStoreRecovery() {
 			}
 		}
 	}()
-}
-
-// stopStoreRecovery stops the recovery prober (idempotent; Close and
-// Shutdown both call it).
-func (s *Service) stopStoreRecovery() {
-	s.mu.Lock()
-	if !s.degStopped {
-		s.degStopped = true
-		close(s.degStop)
-	}
-	s.mu.Unlock()
-	s.degWG.Wait()
 }

@@ -17,6 +17,7 @@ package cloud
 // strips data (decodeBodyExtras / encodeBodyExtras).
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -46,15 +47,20 @@ func bodySum(body []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// encodeEnvelope wraps a JSON body in the checksummed envelope.
+// encodeEnvelope wraps a JSON body in the checksummed envelope. The body is
+// spliced in verbatim: json.Marshal would compact and re-escape it, and the
+// checksum would then cover bytes other than the ones stored.
 func encodeEnvelope(kind DocKind, id string, body []byte) ([]byte, error) {
-	return json.Marshal(docEnvelope{
-		V:      docEnvelopeV,
-		Kind:   string(kind),
-		ID:     id,
-		SHA256: bodySum(body),
-		Body:   body,
-	})
+	if !json.Valid(body) {
+		return nil, errors.New("document body is not valid JSON")
+	}
+	head, err := json.Marshal(docEnvelope{V: docEnvelopeV, Kind: string(kind), ID: id, SHA256: bodySum(body)})
+	if err != nil {
+		return nil, err
+	}
+	// head ends in the nil body's `null}`; the body takes its place.
+	env := append(bytes.TrimSuffix(head, []byte("null}")), body...)
+	return append(env, '}'), nil
 }
 
 // decodeEnvelope splits raw stored bytes into the JSON body, verifying the

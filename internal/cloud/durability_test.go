@@ -14,6 +14,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"medsen/internal/auth"
 )
 
 // waitJobRunning polls until the job leaves the queue (a gated worker picked
@@ -629,7 +631,7 @@ func fetchMetrics(ctx context.Context, client *Client) (Metrics, error) {
 
 // TestCloseEnqueuePollRace hammers Close, enqueueJob, and job polling
 // concurrently; run under -race it guards the locking discipline around the
-// queue channel and the jobs map.
+// job queue and the jobs map.
 func TestCloseEnqueuePollRace(t *testing.T) {
 	ctx := context.Background()
 	for iter := 0; iter < 10; iter++ {
@@ -649,7 +651,7 @@ func TestCloseEnqueuePollRace(t *testing.T) {
 				defer wg.Done()
 				<-start
 				for k := 0; k < 5; k++ {
-					_, _, _, _ = svc.enqueueJob(payload, "", "") // rejection and shutdown errors are expected
+					_ = svc.enqueueJob(payload, "", auth.Principal{}) // rejection and shutdown errors are expected
 				}
 			}()
 		}
@@ -770,7 +772,7 @@ func TestShutdownIdempotent(t *testing.T) {
 	if err := svc2.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := svc2.enqueueJob([]byte("x"), "", ""); err == nil {
+	if res := svc2.enqueueJob([]byte("x"), "", auth.Principal{}); res.err == nil {
 		t.Fatal("enqueue after shutdown should fail")
 	}
 }

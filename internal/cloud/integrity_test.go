@@ -61,6 +61,48 @@ func TestDocEnvelopeRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzDecodeEnvelope feeds arbitrary bytes to the envelope decoder the way
+// the offline fsck does (no kind or id to cross-check). It must never panic;
+// an accepted envelope's body must hash to the checksum it claims, and that
+// body must re-encode to a document that decodes to the same body.
+func FuzzDecodeEnvelope(f *testing.F) {
+	valid, err := encodeEnvelope(KindJob, "job-3", []byte(`{"id":"job-3","status":"queued"}`))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	// A body as another encoder might write it: spaced, with unescaped HTML.
+	spaced := `{ "id": "an-1", "note": "<b>" }`
+	f.Add([]byte(fmt.Sprintf(`{"v":1,"kind":"analysis","id":"an-1","sha256":%q,"body":%s}`,
+		bodySum([]byte(spaced)), spaced)))
+	f.Add([]byte(`{"id":"an-1","report":{}}`))
+	f.Add([]byte(`{"v":2,"sha256":"00"}`))
+	f.Add([]byte(`{"v":1,"kind":"analysis","id":"an-1","sha256":"x","body":{}}`))
+	f.Add([]byte("null"))
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		body, legacy, err := decodeEnvelope(raw, "", "")
+		if err != nil || legacy {
+			return
+		}
+		var env docEnvelope
+		if err := json.Unmarshal(raw, &env); err != nil {
+			t.Fatalf("accepted envelope does not re-parse: %v", err)
+		}
+		if bodySum(body) != env.SHA256 {
+			t.Fatalf("accepted body hashes to %s, envelope claims %s", bodySum(body), env.SHA256)
+		}
+		again, err := encodeEnvelope(DocKind(env.Kind), env.ID, body)
+		if err != nil {
+			t.Fatalf("accepted body does not re-encode: %v", err)
+		}
+		got, legacy, err := decodeEnvelope(again, DocKind(env.Kind), env.ID)
+		if err != nil || legacy || string(got) != string(body) {
+			t.Fatalf("re-encoded body %q decodes to %q (legacy=%t, err=%v)", body, got, legacy, err)
+		}
+	})
+}
+
 // TestUnknownFieldsSurviveRoundTrip: documents written by a newer binary
 // carry fields this one does not know; loading and re-persisting the record
 // must write them back byte-identically instead of stripping them.

@@ -148,49 +148,29 @@ const (
 	defaultMaxTerminalJobs = 1024
 )
 
-// startJobWorkers launches the analysis worker pool. Called once from
+// startJobWorkers launches the in-process pool. Called once from
 // NewService, after any journaled jobs have been re-enqueued.
 func (s *Service) startJobWorkers() {
 	for i := 0; i < s.workers; i++ {
-		s.jobWG.Add(1)
+		s.poolWG.Add(1)
 		go func() {
-			defer s.jobWG.Done()
-			for {
-				// A closed stop channel wins over more queued work, so
-				// Shutdown stops the pool after in-flight jobs without
-				// draining the backlog (it stays journaled).
-				select {
-				case <-s.jobStop:
-					return
-				default:
-				}
-				select {
-				case <-s.jobStop:
-					return
-				case id, ok := <-s.jobCh:
-					if !ok {
-						return
-					}
-					s.runJob(id)
-				}
+			defer s.poolWG.Done()
+			for s.runNextJob() {
 			}
 		}()
 	}
 }
 
-// Close stops the job workers after draining already-queued jobs. Further
-// async submissions are rejected. It is safe to call more than once and
-// after Shutdown.
+// Close stops the job workers after draining already-queued jobs, then the
+// reaper and the recovery prober. Further async submissions are rejected.
+// It is safe to call more than once and after Shutdown.
 func (s *Service) Close() {
 	s.mu.Lock()
-	if !s.jobsClosed {
-		s.jobsClosed = true
-		close(s.jobCh)
-	}
+	s.jobsClosed = true
+	s.queueCond.Broadcast()
 	s.mu.Unlock()
-	s.jobWG.Wait()
-	s.stopReaper()
-	s.stopStoreRecovery()
+	s.poolWG.Wait()
+	s.halt()
 }
 
 // Shutdown stops accepting submissions and waits for in-flight analyses to
@@ -200,18 +180,10 @@ func (s *Service) Close() {
 // deadline error means some analysis was still running when the context
 // expired; its journal entry makes it recoverable too.
 func (s *Service) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	s.jobsClosed = true
-	if !s.jobsStopped {
-		s.jobsStopped = true
-		close(s.jobStop)
-	}
-	s.mu.Unlock()
-	s.stopReaper()
-	s.stopStoreRecovery()
+	s.halt()
 	done := make(chan struct{})
 	go func() {
-		s.jobWG.Wait()
+		s.poolWG.Wait()
 		close(done)
 	}()
 	select {
@@ -222,88 +194,127 @@ func (s *Service) Shutdown(ctx context.Context) error {
 	}
 }
 
-// errShutdown rejects submissions arriving after Close or Shutdown.
-var errShutdown = errors.New("cloud: service is shutting down")
-
-// enqueueJob registers a job for the payload, journals it, and hands it to
-// the worker pool. The idempotency index is consulted first (under the same
-// lock, so concurrent duplicates cannot both enqueue): a key that already
-// owns live or completed work returns that work instead of a new job, a key
-// reserved by an in-flight sync analysis returns errDuplicateInFlight, and a
-// key whose owning job failed may re-run. ok=false means the queue is at
-// capacity (backpressure). key "" bypasses the index. owner is the
-// submitting principal's subject, inherited by the stored analysis.
-func (s *Service) enqueueJob(payload []byte, key, owner string) (job Job, deduped, ok bool, err error) {
+// halt rejects further submissions, closes the stop channel (once), waking
+// idle pool workers so they exit, and waits for the reaper and the recovery
+// prober to return.
+func (s *Service) halt() {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.jobsClosed = true
+	if !s.stopped {
+		s.stopped = true
+		close(s.stop)
+		s.queueCond.Broadcast()
+	}
+	s.mu.Unlock()
+	s.bgWG.Wait()
+}
+
+// enqueueJob registers a job for the payload, journals it, and appends it to
+// the queue, auditing every 202 as job.create or job.dedup under p, whose
+// subject owns the job and its analysis.
+func (s *Service) enqueueJob(payload []byte, key string, p auth.Principal) submitResult {
+	s.mu.Lock()
+	res, action, object := s.enqueueJobLocked(payload, key, p.Subject)
+	s.mu.Unlock()
+	if action != "" {
+		s.auditEvent(p, action, object, audit.OutcomeOK, "")
+	}
+	return res
+}
+
+// enqueueJobLocked is enqueueJob's decision, returning the audit action and
+// object of a 202 (action "" otherwise). The idempotency index is consulted
+// first, under the same lock, so concurrent duplicates cannot both enqueue:
+// a key that owns a live job answers that job, one whose job record is gone
+// but whose analysis is stored a synthesized done job, and one reserved by
+// an in-flight sync analysis 409; a key whose owning job failed may re-run.
+// A fresh job is shed past the queue-wait limit and refused 429 queue_full
+// while the queue holds queueDepth jobs, recovered and reclaimed ones
+// included. Only a journaled job joins the queue. key "" bypasses the index.
+// Callers must hold s.mu.
+func (s *Service) enqueueJobLocked(payload []byte, key, owner string) (submitResult, string, string) {
 	if s.jobsClosed {
-		return Job{}, false, false, errShutdown
+		return submitResult{status: http.StatusServiceUnavailable, code: CodeUnavailable,
+			err: errors.New("cloud: service is shutting down")}, "", ""
 	}
 	s.evictJobsLocked()
 	analysisID, live, out := s.lookupCaptureLocked(key)
 	switch {
 	case out == claimInFlight:
-		return Job{}, true, false, errDuplicateInFlight
+		return submitResult{status: http.StatusConflict, code: CodeDuplicateInFlight,
+			err:        errors.New("cloud: an identical capture is already being analyzed"),
+			retryAfter: retryAfterSeconds * time.Second}, "", ""
 	case live.ID != "":
-		return live, true, true, nil
+		return submitResult{status: http.StatusAccepted, job: &live, location: "/api/v1/jobs/" + live.ID},
+			"job.dedup", live.ID
 	case out == claimDone:
 		// The owning job record was evicted (or the capture came in
-		// synchronously) but its analysis is stored: answer a synthesized
-		// done job so the caller skips polling entirely.
-		return Job{Status: JobDone, AnalysisID: analysisID}, true, true, nil
+		// synchronously) but its analysis is stored: a synthesized done job
+		// lets the caller skip polling, located at the analysis itself.
+		return submitResult{status: http.StatusAccepted, job: &Job{Status: JobDone, AnalysisID: analysisID},
+			location: "/api/v1/analyses/" + analysisID}, "job.dedup", analysisID
 	}
 	// A duplicate creates no new work, so only fresh admissions are shed.
 	if after, shed := s.shedLocked(false); shed {
-		return Job{}, false, false, &overloadError{retryAfter: after}
+		return shedResult(after), "", ""
 	}
-	// The id is committed only once the queue accepts the job, so 429
-	// rejections leave no gaps in the sequence.
-	id := jobFilePrefix + strconv.Itoa(s.nextJobID+1)
-	select {
-	case s.jobCh <- id:
-	default:
+	// The id is committed only once the queue has room, so 429 rejections
+	// leave no gaps in the sequence.
+	if len(s.queue) >= s.queueDepth {
 		s.metrics.JobsRejected++
-		return Job{}, false, false, nil
+		return submitResult{status: http.StatusTooManyRequests, code: CodeQueueFull,
+			err:        fmt.Errorf("job queue is at capacity (%d queued)", s.queueDepth),
+			retryAfter: retryAfterSeconds * time.Second}, "", ""
 	}
 	s.nextJobID++
+	id := jobFilePrefix + strconv.Itoa(s.nextJobID)
 	qj := &queuedJob{Job: Job{ID: id, Status: JobQueued, Owner: owner}, payload: payload, captureKey: key}
 	if err := s.persistJob(qj, payload, true); err != nil {
-		// The job was never registered: the id stays burned, the worker
-		// ignores the orphaned queue entry, and no dedup entry exists to
-		// block the caller's retry. The caller sees the error instead of a
-		// 202 for a job that could not be made durable.
-		return Job{}, false, false, err
+		// The job was never registered: the id stays burned, no queue slot
+		// is taken, and no dedup entry exists to block the caller's retry.
+		// The caller sees the error instead of a 202 for a job that could
+		// not be made durable.
+		return submitResult{status: http.StatusInternalServerError, code: CodeInternal, err: err}, "", ""
 	}
 	s.jobs[id] = qj
+	s.queueJobLocked(id)
 	if key != "" {
 		e := &dedupEntry{key: key, jobID: id}
 		s.insertDedupLocked(e)
 		s.journalDedupLocked(e)
 	}
 	s.metrics.JobsEnqueued++
-	return qj.Job, false, true, nil
+	job := qj.Job
+	return submitResult{status: http.StatusAccepted, job: &job, location: "/api/v1/jobs/" + id}, "job.create", id
 }
 
-// runJob executes one queued analysis with the same analyze and commit
-// steps as every other path, plus the execution deadline, which turns a
-// runaway analysis into a terminal "deadline_exceeded" failure instead of a
-// silently pinned worker slot. Any failure is terminal for an in-process
-// job (failAttemptLocked).
-func (s *Service) runJob(id string) {
+// runNextJob is one turn of a pool worker: it takes the next job through
+// the pickup acquire uses too (nextQueuedLocked, startAttemptLocked),
+// waiting on queueCond while the queue is empty, and runs it with the same
+// analyze and commit steps as every other path, plus the execution deadline,
+// which turns a runaway analysis into a terminal "deadline_exceeded" failure
+// instead of a silently pinned worker slot. Any failure is terminal for an
+// in-process job (failAttemptLocked). It reports false when the worker must
+// exit: once the service is stopped (Shutdown), leaving the backlog
+// journaled, or closed (Close) with the queue drained.
+func (s *Service) runNextJob() bool {
 	s.mu.Lock()
-	qj, ok := s.jobs[id]
-	if !ok {
-		s.mu.Unlock()
-		return
+	var qj *queuedJob
+	for !s.stopped {
+		if qj = s.nextQueuedLocked(); qj != nil || s.jobsClosed {
+			break
+		}
+		s.queueCond.Wait()
 	}
-	qj.Status = JobRunning
-	qj.startedAt = s.now()
-	qj.Attempts++
+	if qj == nil {
+		s.mu.Unlock()
+		return false
+	}
+	s.startAttemptLocked(qj, "")
+	// The pool never requeues, so the payload leaves memory here; the journal
+	// keeps it until the job is terminal so a crash mid-analysis reruns it.
 	payload := qj.payload
 	qj.payload = nil
-	// Journal the transition; the payload stays on disk until the job is
-	// terminal so a crash mid-analysis reruns it.
-	s.journalJobLocked(qj, payload)
 	gate := s.jobGate
 	s.mu.Unlock()
 	if gate != nil {
@@ -312,10 +323,10 @@ func (s *Service) runJob(id string) {
 		default:
 			select {
 			case <-gate:
-			case <-s.jobStop:
+			case <-s.stop:
 				// Shutting down while gated: leave the journal as-is so
 				// the job is recovered by the next process.
-				return
+				return false
 			}
 		}
 	}
@@ -355,6 +366,7 @@ func (s *Service) runJob(id string) {
 	if out.err != nil {
 		s.failAttemptLocked(qj, attemptFailed, out.code, out.err.Error(), true)
 	}
+	return true
 }
 
 // evictJobsLocked drops terminal job records past the TTL or in excess of
@@ -402,55 +414,6 @@ func (s *Service) evictJobsLocked() {
 
 // retryAfterSeconds is the backpressure hint returned with 429 responses.
 const retryAfterSeconds = 1
-
-// handleSubmitAsync enqueues an upload and answers 202 with the job
-// resource — the original job when the capture key dedups, a synthesized
-// done job when only the analysis survives — or 429 when the queue is full,
-// shed, or the capture is mid-analysis on the sync path (409).
-func (s *Service) handleSubmitAsync(w http.ResponseWriter, body []byte, key string, p auth.Principal) {
-	job, deduped, ok, err := s.enqueueJob(body, key, p.Subject)
-	if err != nil {
-		var oe *overloadError
-		switch {
-		case errors.Is(err, errShutdown):
-			writeError(w, http.StatusServiceUnavailable, CodeUnavailable, err)
-		case errors.Is(err, errDuplicateInFlight):
-			writeRetryAfter(w, retryAfterSeconds*time.Second)
-			writeError(w, http.StatusConflict, CodeDuplicateInFlight, err)
-		case errors.As(err, &oe):
-			writeRetryAfter(w, oe.retryAfter)
-			writeError(w, http.StatusTooManyRequests, CodeOverloaded,
-				errors.New("estimated queue wait exceeds the shedding limit; retry later"))
-		default:
-			// Journal failure: the job could not be made durable.
-			writeError(w, http.StatusInternalServerError, CodeInternal, err)
-		}
-		return
-	}
-	if !ok {
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-		writeError(w, http.StatusTooManyRequests, CodeQueueFull,
-			fmt.Errorf("job queue is at capacity (%d queued)", s.queueDepth))
-		return
-	}
-	switch {
-	case job.ID != "":
-		w.Header().Set("Location", "/api/v1/jobs/"+job.ID)
-		action := "job.create"
-		if deduped {
-			action = "job.dedup"
-		}
-		s.auditEvent(p, action, job.ID, audit.OutcomeOK, "")
-	case job.AnalysisID != "":
-		// A synthesized done job has no job record to point at — the
-		// duplicate's analysis is already stored, so Location goes straight
-		// to the result instead of being silently omitted, and the dedup
-		// hit still lands in the audit trail.
-		w.Header().Set("Location", "/api/v1/analyses/"+job.AnalysisID)
-		s.auditEvent(p, "job.dedup", job.AnalysisID, audit.OutcomeOK, "")
-	}
-	writeJSON(w, http.StatusAccepted, job)
-}
 
 // handleGetJob serves one job's current state. Expired terminal records are
 // evicted first, so a stale id answers 404 exactly as it would after a

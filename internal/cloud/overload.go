@@ -215,8 +215,7 @@ func (s *Service) estQueueWaitLocked() time.Duration {
 	if mean == 0 {
 		return 0
 	}
-	depth := len(s.jobCh) + len(s.requeue)
-	return time.Duration(depth) * mean / time.Duration(s.workers)
+	return time.Duration(len(s.queue)) * mean / time.Duration(s.workers)
 }
 
 // shedLocked decides whether a submission in the given lane must be shed,
@@ -251,12 +250,6 @@ func shedRetryAfter(wait time.Duration) time.Duration {
 	}
 	return ra
 }
-
-// overloadError carries the shedder's Retry-After hint from enqueueJob to
-// the async handler.
-type overloadError struct{ retryAfter time.Duration }
-
-func (e *overloadError) Error() string { return "cloud: service is overloaded" }
 
 // writeRetryAfter stamps the Retry-After hint in whole seconds (minimum 1 —
 // zero would invite an immediate, pointless retry).

@@ -83,16 +83,23 @@ type Service struct {
 	// queueEst feeds the load shedder (overload.go).
 	queueEst queueEstimator
 
-	// Async job machinery (jobs.go).
-	jobs      map[string]*queuedJob
-	nextJobID int
-	jobCh     chan string
-	jobWG     sync.WaitGroup
-	// jobsClosed rejects further submissions; jobsStopped records that
-	// jobStop is closed (Shutdown ran).
-	jobsClosed  bool
-	jobsStopped bool
-	jobStop     chan struct{}
+	// Async job machinery (jobs.go). queue is the one FIFO of queued job
+	// ids, fed by submissions, recovery, reclaims and retries and drained
+	// by the in-process pool and the lease acquire API alike; queueCond
+	// (over mu) wakes idle pool workers. jobsClosed rejects further
+	// submissions.
+	jobs       map[string]*queuedJob
+	nextJobID  int
+	queue      []string
+	queueCond  *sync.Cond
+	poolWG     sync.WaitGroup
+	jobsClosed bool
+	// stop, closed once (stopped records it, under mu), ends the pool, the
+	// lease reaper and the store-recovery prober; bgWG tracks the latter
+	// two.
+	stop    chan struct{}
+	stopped bool
+	bgWG    sync.WaitGroup
 	// Terminal-job retention bounds (jobs.go); now is the retention clock,
 	// replaceable by tests.
 	jobTTL          time.Duration
@@ -104,18 +111,12 @@ type Service struct {
 
 	// Lease-based external worker machinery (workqueue.go). externalWorkers
 	// disables the in-process pool: jobs wait for a worker daemon to pull
-	// them over the acquire API. requeue holds reclaimed job ids jobCh has no
-	// room for; acquire drains it first so reclaimed work is not starved.
-	// workerSeen tracks each worker id's last contact for the workers_active
-	// gauge. reaperStopped records that reaperStop is closed (guarded by mu).
+	// them over the acquire API. workerSeen tracks each worker id's last
+	// contact for the workers_active gauge.
 	externalWorkers bool
 	leaseTTL        time.Duration
 	maxAttempts     int
-	requeue         []string
 	workerSeen      map[string]time.Time
-	reaperStop      chan struct{}
-	reaperStopped   bool
-	reaperWG        sync.WaitGroup
 
 	// Read-only degraded mode (degraded.go). degraded is the hot-path flag
 	// (handlers only load it); deg holds the since/reason detail under its
@@ -123,8 +124,7 @@ type Service struct {
 	// inside persist calls that already hold s.mu. auditErrs counts audit
 	// appends that failed during those transitions (folded into
 	// AuditJournalErrors at snapshot time, again because s.mu is taken).
-	// storeRecovery is the write-probe interval; degStop/degStopped/degWG
-	// manage the recovery goroutine like reaperStop does the reaper.
+	// storeRecovery is the write-probe interval.
 	degraded atomic.Bool
 	deg      struct {
 		mu     sync.Mutex
@@ -133,9 +133,6 @@ type Service struct {
 	}
 	auditErrs     atomic.Int64
 	storeRecovery time.Duration
-	degStop       chan struct{}
-	degStopped    bool
-	degWG         sync.WaitGroup
 	// pendingDeletes remembers documents whose Delete failed, for re-attempt
 	// on the next retention sweep (store.go deleteDocLocked).
 	pendingDeletes map[DocKind]map[string]bool
@@ -353,10 +350,9 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 		jobs:            make(map[string]*queuedJob),
 		dedup:           make(map[string]*dedupEntry),
 		workerSeen:      make(map[string]time.Time),
-		jobStop:         make(chan struct{}),
-		reaperStop:      make(chan struct{}),
-		degStop:         make(chan struct{}),
+		stop:            make(chan struct{}),
 	}
+	s.queueCond = sync.NewCond(&s.mu)
 	if cfg.RateLimit > 0 {
 		// The closure routes through s.now so tests that pin the service
 		// clock pin the limiter too.
@@ -365,8 +361,7 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	if err := s.loadState(); err != nil {
 		return nil, err
 	}
-	pending, err := s.loadJobs()
-	if err != nil {
+	if err := s.loadJobs(); err != nil {
 		return nil, err
 	}
 	if err := s.loadDedup(); err != nil {
@@ -374,16 +369,10 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	}
 	// Settle leases recovered from the journal now that the dedup index is
 	// loaded, exactly as the reaper would: a committed lease resolves to
-	// done, an expired one is reclaimed (or quarantined) onto the requeue
-	// list, a still-valid one stays leased for its holder to finish.
+	// done, an expired one is reclaimed (or quarantined) onto the queue
+	// behind the recovered jobs, a still-valid one stays leased for its
+	// holder to finish.
 	s.auditReaperEvents(s.reclaimLeasesLocked())
-	// The channel must hold every recovered job on top of a full queue of
-	// new submissions, or re-enqueueing would block startup.
-	s.jobCh = make(chan string, cfg.QueueDepth+len(pending)+len(s.requeue))
-	for _, id := range pending {
-		s.jobCh <- id
-	}
-	s.drainRequeueLocked()
 	if !s.externalWorkers {
 		s.startJobWorkers()
 	}
@@ -535,32 +524,43 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Idempotency keys are namespaced per tenant so one patient's key (or a
 	// guessed digest) can never resolve to another patient's analysis.
 	key = scopedCaptureKey(p.Subject, key)
+	var res submitResult
 	switch async := r.URL.Query().Get("async"); async {
 	case "", "0", "false":
+		// The sync path: a duplicate of a stored capture answers 200 with the
+		// original result, one in flight 409 duplicate_in_flight +
+		// Retry-After, and only a new capture that survives the
+		// priority-lane shed check runs.
+		res = s.submitInline(body, key, p.Subject, p, "analysis.create", true)
 	case "1", "true":
 		// The job payload outlives this request (queued, journaled), so it
 		// cannot alias the pooled read buffer.
-		s.handleSubmitAsync(w, bytes.Clone(body), key, p)
-		return
+		res = s.enqueueJob(bytes.Clone(body), key, p)
 	default:
 		writeError(w, http.StatusBadRequest, CodeInvalidRequest, fmt.Errorf("bad async parameter %q", async))
 		return
 	}
-	// The sync path: a duplicate of a stored capture answers 200 with the
-	// original result, one in flight 409 duplicate_in_flight + Retry-After,
-	// and only a new capture that survives the priority-lane shed check runs.
-	res := s.submitInline(body, key, p.Subject, p, "analysis.create", true)
-	if res.jobID != "" {
-		w.Header().Set("Location", "/api/v1/jobs/"+res.jobID)
+	writeSubmitResult(w, res)
+}
+
+// writeSubmitResult renders one submission's outcome, sync or async:
+// Location and Retry-After when set, then the error envelope, the job
+// resource (async) or the stored analysis (sync).
+func writeSubmitResult(w http.ResponseWriter, res submitResult) {
+	if res.location != "" {
+		w.Header().Set("Location", res.location)
 	}
 	if res.retryAfter > 0 {
 		writeRetryAfter(w, res.retryAfter)
 	}
-	if res.err != nil {
+	switch {
+	case res.err != nil:
 		writeError(w, res.status, res.code, res.err)
-		return
+	case res.job != nil:
+		writeJSON(w, res.status, res.job)
+	default:
+		writeJSON(w, res.status, SubmitResponse{ID: res.id, Report: res.report})
 	}
-	writeJSON(w, res.status, SubmitResponse{ID: res.id, Report: res.report})
 }
 
 // storeProbe verifies the durable backend accepts writes. Without a backend
@@ -892,7 +892,7 @@ func (s *Service) Snapshot() Metrics {
 	m.StoredAnalyses = len(s.analyses)
 	m.EnrolledUsers = s.registry.Len()
 	m.DedupEntries = len(s.dedup)
-	m.QueueDepth = len(s.jobCh) + len(s.requeue)
+	m.QueueDepth = len(s.queue)
 	m.QueueWaitMS = s.estQueueWaitLocked().Milliseconds()
 	m.WorkersActive = s.activeWorkersLocked()
 	if s.degraded.Load() {

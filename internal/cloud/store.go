@@ -226,18 +226,17 @@ func (s *Service) retryPendingDeletesLocked() {
 }
 
 // loadJobs restores the job journal: terminal records come back for polling
-// clients; queued and running jobs are returned as the pending id list the
-// caller re-enqueues (a job that was mid-analysis when the process died
-// reruns from its journaled payload). It also advances the job id counter
-// past every persisted document. Corrupt documents are salvaged (or, in
-// strict mode, refuse startup).
-func (s *Service) loadJobs() (pending []string, err error) {
+// clients; queued and running jobs rejoin the queue (a job that was
+// mid-analysis when the process died reruns from its journaled payload). It
+// also advances the job id counter past every persisted document. Corrupt
+// documents are salvaged (or, in strict mode, refuse startup).
+func (s *Service) loadJobs() error {
 	if s.store == nil {
-		return nil, nil
+		return nil
 	}
 	docs, err := s.store.List(KindJob)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for _, d := range docs {
 		var doc persistedJob
@@ -247,7 +246,7 @@ func (s *Service) loadJobs() (pending []string, err error) {
 		}
 		if reason != nil {
 			if err := s.salvageDoc(d, reason); err != nil {
-				return nil, err
+				return err
 			}
 			continue
 		}
@@ -291,7 +290,7 @@ func (s *Service) loadJobs() (pending []string, err error) {
 		default:
 			qj.Status = JobQueued
 			qj.payload = doc.Payload
-			pending = append(pending, doc.ID)
+			s.queue = append(s.queue, doc.ID)
 		}
 		s.jobs[doc.ID] = qj
 		if n, err := jobIDNumber(doc.ID); err == nil && n > s.nextJobID {
@@ -299,13 +298,13 @@ func (s *Service) loadJobs() (pending []string, err error) {
 		}
 	}
 	// Recover in submission order so a restart preserves queue fairness.
-	sort.Slice(pending, func(i, j int) bool {
-		ni, _ := jobIDNumber(pending[i])
-		nj, _ := jobIDNumber(pending[j])
+	sort.Slice(s.queue, func(i, j int) bool {
+		ni, _ := jobIDNumber(s.queue[i])
+		nj, _ := jobIDNumber(s.queue[j])
 		return ni < nj
 	})
-	s.metrics.JobsRecovered += int64(len(pending))
-	return pending, nil
+	s.metrics.JobsRecovered += int64(len(s.queue))
+	return nil
 }
 
 // loadState restores analyses from the store into the in-memory maps and

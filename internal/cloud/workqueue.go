@@ -143,27 +143,19 @@ func (s *Service) handleAcquire(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	now := s.now()
-	s.workerSeen[req.WorkerID] = now
-	if s.jobsClosed {
-		s.mu.Unlock()
-		writeJSON(w, http.StatusOK, LeaseGrant{Granted: false})
-		return
+	s.workerSeen[req.WorkerID] = s.now()
+	var qj *queuedJob
+	if !s.jobsClosed {
+		qj = s.nextQueuedLocked()
 	}
-	qj := s.nextQueuedLocked()
 	if qj == nil {
 		s.mu.Unlock()
 		writeJSON(w, http.StatusOK, LeaseGrant{Granted: false})
 		return
 	}
-	qj.Status = JobLeased
-	qj.WorkerID = req.WorkerID
-	qj.Attempts++
-	qj.startedAt = now
-	qj.leaseExpiry = now.Add(s.leaseTTL)
 	// The payload stays in memory and in the journal while the lease is
 	// live: a reclaim (or a frontend restart) must be able to re-run it.
-	s.journalJobLocked(qj, qj.payload)
+	s.startAttemptLocked(qj, req.WorkerID)
 	grant := LeaseGrant{
 		Granted:         true,
 		Job:             qj.Job,
@@ -177,36 +169,41 @@ func (s *Service) handleAcquire(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, grant)
 }
 
-// nextQueuedLocked pops the next runnable queued job — reclaimed jobs on the
-// requeue list first, then the submission channel — skipping ids whose job
-// was evicted, already settled, or resolved through the dedup index.
-// Callers must hold s.mu.
+// nextQueuedLocked pops the queue's next runnable job for the pool or a
+// lease, nil when the queue is empty, skipping ids whose job was evicted,
+// already settled, or resolved through the dedup index. Callers must hold
+// s.mu.
 func (s *Service) nextQueuedLocked() *queuedJob {
-	for {
-		var id string
-		if len(s.requeue) > 0 {
-			id = s.requeue[0]
-			s.requeue = s.requeue[1:]
-		} else {
-			select {
-			case next, ok := <-s.jobCh:
-				if !ok {
-					return nil
-				}
-				id = next
-			default:
-				return nil
-			}
+	for len(s.queue) > 0 {
+		id := s.queue[0]
+		s.queue = s.queue[1:]
+		if qj, ok := s.jobs[id]; ok && qj.Status == JobQueued && !s.resolveCommittedLocked(qj) {
+			return qj
 		}
-		qj, ok := s.jobs[id]
-		if !ok || qj.Status != JobQueued {
-			continue
-		}
-		if s.resolveCommittedLocked(qj) {
-			continue
-		}
-		return qj
 	}
+	return nil
+}
+
+// queueJobLocked appends id to the queue's tail and wakes an idle pool
+// worker. Callers must hold s.mu.
+func (s *Service) queueJobLocked(id string) {
+	s.queue = append(s.queue, id)
+	s.queueCond.Signal()
+}
+
+// startAttemptLocked hands qj out for one attempt — to the in-process pool
+// (worker "") as running, or to a worker daemon as leased until leaseTTL
+// passes without a heartbeat — and journals the transition with the payload
+// before the work leaves the lock, so a frontend crash re-runs or reclaims
+// it. Callers must hold s.mu.
+func (s *Service) startAttemptLocked(qj *queuedJob, worker string) {
+	qj.Attempts++
+	qj.startedAt = s.now()
+	qj.Status = JobRunning
+	if worker != "" {
+		qj.Status, qj.WorkerID, qj.leaseExpiry = JobLeased, worker, qj.startedAt.Add(s.leaseTTL)
+	}
+	s.journalJobLocked(qj, qj.payload)
 }
 
 // resolveCommittedLocked settles a job whose capture already has a stored
@@ -342,20 +339,6 @@ func (s *Service) handleFail(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, job)
 }
 
-// requeueLocked puts a job id back in line: into the channel when it has
-// room, else onto the overflow list acquire drains first. Callers must hold
-// s.mu.
-func (s *Service) requeueLocked(id string) {
-	if !s.jobsClosed {
-		select {
-		case s.jobCh <- id:
-			return
-		default:
-		}
-	}
-	s.requeue = append(s.requeue, id)
-}
-
 // workerReaper is the attempt-history attribution of reaper decisions.
 const workerReaper = "workqueue-reaper"
 
@@ -366,14 +349,14 @@ func (s *Service) startReaper() {
 	if interval < 10*time.Millisecond {
 		interval = 10 * time.Millisecond
 	}
-	s.reaperWG.Add(1)
+	s.bgWG.Add(1)
 	go func() {
-		defer s.reaperWG.Done()
+		defer s.bgWG.Done()
 		t := time.NewTicker(interval)
 		defer t.Stop()
 		for {
 			select {
-			case <-s.reaperStop:
+			case <-s.stop:
 				return
 			case <-t.C:
 				s.reapLeases()
@@ -382,29 +365,12 @@ func (s *Service) startReaper() {
 	}()
 }
 
-// stopReaper terminates the reaper goroutine (idempotent; Close/Shutdown).
-func (s *Service) stopReaper() {
-	s.mu.Lock()
-	if !s.reaperStopped {
-		s.reaperStopped = true
-		close(s.reaperStop)
-	}
-	s.mu.Unlock()
-	s.reaperWG.Wait()
-}
-
 // reapLeases is one reaper tick: settle every lease that can no longer
-// stand, move overflow requeue entries into the channel for the in-process
-// pool, and sweep departed workers from the active-gauge map. Tests drive it
+// stand and sweep departed workers from the active-gauge map. Tests drive it
 // directly with a pinned clock.
 func (s *Service) reapLeases() {
 	s.mu.Lock()
 	events := s.reclaimLeasesLocked()
-	// With the in-process pool running, overflow requeue entries must reach
-	// the channel the pool blocks on.
-	if !s.externalWorkers {
-		s.drainRequeueLocked()
-	}
 	now := s.now()
 	for id, seen := range s.workerSeen {
 		if now.Sub(seen) > 2*s.leaseTTL {
@@ -427,7 +393,7 @@ type reaperEvent struct{ id, action, detail string }
 //     requeued within the attempt budget, quarantined past it;
 //   - a valid lease stays with its holder.
 //
-// Reclaimed jobs land on the requeue list. Callers must hold s.mu.
+// Reclaimed jobs rejoin the queue's tail. Callers must hold s.mu.
 func (s *Service) reclaimLeasesLocked() []reaperEvent {
 	var events []reaperEvent
 	now := s.now()
@@ -453,19 +419,6 @@ func (s *Service) reclaimLeasesLocked() []reaperEvent {
 			fmt.Sprintf("worker=%s attempt=%d lease expired", worker, qj.Attempts)})
 	}
 	return events
-}
-
-// drainRequeueLocked moves overflow requeue entries into the channel while
-// it has room. Callers must hold s.mu.
-func (s *Service) drainRequeueLocked() {
-	for len(s.requeue) > 0 && !s.jobsClosed {
-		select {
-		case s.jobCh <- s.requeue[0]:
-			s.requeue = s.requeue[1:]
-		default:
-			return
-		}
-	}
 }
 
 // activeWorkersLocked counts workers seen on the workqueue API within the
