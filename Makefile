@@ -89,6 +89,7 @@ fuzz:
 	$(GO) test -fuzz FuzzBatchRequest -fuzztime 10s ./internal/cloud
 	$(GO) test -fuzz FuzzWorkqueueBodies -fuzztime 10s ./internal/cloud
 	$(GO) test -fuzz FuzzDecodeEnvelope -fuzztime 10s ./internal/cloud
+	$(GO) test -fuzz FuzzParseChain -fuzztime 10s ./internal/audit
 	$(GO) test -fuzz FuzzUnmarshalSchedule -fuzztime 30s ./internal/cipher
 	$(GO) test -fuzz FuzzImportShared -fuzztime 30s ./internal/cipher
 

@@ -1,6 +1,8 @@
 package cloud
 
 import (
+	"archive/zip"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -15,6 +17,7 @@ import (
 	"time"
 
 	"medsen/internal/beads"
+	"medsen/internal/csvio"
 	"medsen/internal/drbg"
 	"medsen/internal/faultinject"
 	"medsen/internal/microfluidic"
@@ -93,6 +96,87 @@ func TestSubmitRejectsGarbage(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestSubmitRejectsBrokenSampleClock pins that a capture whose time column
+// cannot give a sample rate — repeated, decreasing or non-finite times — or
+// that carries a non-finite sample is refused as invalid_request and stores
+// nothing, instead of being analyzed into a report with a zero or NaN
+// duration.
+func TestSubmitRejectsBrokenSampleClock(t *testing.T) {
+	svc, err := NewService(ServiceConfig{StateDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(svc.Handler())
+	t.Cleanup(ts.Close)
+	t.Cleanup(svc.Close)
+	// Two seconds of a flat 450 Hz capture, long enough to analyze, with
+	// the time or sample of row i written by the case.
+	capture := func(timeAt func(i int) string, sampleAt func(i int) string) []byte {
+		csv := []byte("time_s,ch_500000Hz\n")
+		for i := 0; i < 900; i++ {
+			csv = fmt.Appendf(csv, "%s,%s\n", timeAt(i), sampleAt(i))
+		}
+		return csv
+	}
+	clock := func(i int) string { return fmt.Sprint(float64(i) / 450) }
+	flat := func(int) string { return "1" }
+	for _, tc := range []struct {
+		name string
+		csv  []byte
+	}{
+		{"repeated time", capture(func(int) string { return "0" }, flat)},
+		{"decreasing time", capture(func(i int) string { return fmt.Sprint(float64(-i) / 450) }, flat)},
+		{"NaN time", capture(func(i int) string {
+			if i == 899 {
+				return "NaN"
+			}
+			return clock(i)
+		}, flat)},
+		{"NaN sample", capture(clock, func(i int) string {
+			if i == 450 {
+				return "NaN"
+			}
+			return "1"
+		})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			zw := zip.NewWriter(&buf)
+			f, err := zw.Create(csvio.MeasurementsFileName)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(tc.csv); err != nil {
+				t.Fatal(err)
+			}
+			if err := zw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			before := svc.Snapshot()
+			resp, err := http.Post(ts.URL+"/api/v1/analyses", "application/zip", &buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var env struct {
+				Error struct {
+					Code string `json:"code"`
+				} `json:"error"`
+			}
+			err = json.NewDecoder(resp.Body).Decode(&env)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || err != nil || env.Error.Code != CodeInvalidRequest {
+				t.Fatalf("status %d, code %q (decode err %v); want 400 %s",
+					resp.StatusCode, env.Error.Code, err, CodeInvalidRequest)
+			}
+			after := svc.Snapshot()
+			if after.Uploads != before.Uploads || after.StoredAnalyses != before.StoredAnalyses {
+				t.Fatalf("uploads %d → %d, stored %d → %d; want both unchanged",
+					before.Uploads, after.Uploads, before.StoredAnalyses, after.StoredAnalyses)
+			}
+		})
 	}
 }
 

@@ -9,11 +9,16 @@ package csvio
 import (
 	"archive/zip"
 	"bytes"
+	"compress/flate"
 	"encoding/csv"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"math"
+	"runtime"
 	"strconv"
+	"sync"
 
 	"medsen/internal/lockin"
 	"medsen/internal/sigproc"
@@ -25,47 +30,97 @@ const MeasurementsFileName = "measurements.csv"
 // ErrBadCSV reports a malformed measurements file.
 var ErrBadCSV = errors.New("csvio: malformed measurements CSV")
 
+// Capture packaging constants. None of them is an option: each one fixes
+// the payload bytes, and a payload must depend only on its capture, never on
+// who packaged it or on how many cores they had (DESIGN.md §12).
+const (
+	// segmentSize is how many CSV bytes one deflate segment holds.
+	segmentSize = 256 << 10
+	// windowSize is deflate's back-reference distance. Each segment is
+	// primed with the windowSize bytes before it, so its matches reach
+	// across the cut as they would in one serial stream.
+	windowSize = 32 << 10
+	// deflateLevel is the level archive/zip's own Deflate compressor uses.
+	deflateLevel = 5
+)
+
 // EncodeAcquisition writes the acquisition as CSV: a header row of
 // "time_s,ch_<freq>Hz,..." followed by one row per sample instant.
 func EncodeAcquisition(w io.Writer, acq lockin.Acquisition) error {
+	enc, err := newEncoder(acq)
+	if err != nil {
+		return err
+	}
+	buf := make([]byte, 0, segmentSize+rowSlack)
+	for !enc.done() {
+		buf = enc.appendRows(buf[:0], segmentSize)
+		if _, err := w.Write(buf); err != nil {
+			return fmt.Errorf("csvio: writing CSV: %w", err)
+		}
+	}
+	return nil
+}
+
+// rowSlack is room for the row that crosses a buffer's limit.
+const rowSlack = 4 << 10
+
+// encoder formats an acquisition's CSV text: the header, then one row per
+// sample instant. The bytes are exactly those encoding/csv writes for the
+// same fields, because none of the fields needs quoting: the header names,
+// and numbers in strconv's shortest form, "NaN" and "±Inf" included.
+type encoder struct {
+	acq  lockin.Acquisition
+	rate float64
+	n    int // sample rows
+	next int // next row to write; -1 while the header is pending
+}
+
+func newEncoder(acq lockin.Acquisition) (*encoder, error) {
 	if len(acq.Traces) == 0 {
-		return errors.New("csvio: empty acquisition")
+		return nil, errors.New("csvio: empty acquisition")
+	}
+	if len(acq.CarriersHz) != len(acq.Traces) {
+		return nil, fmt.Errorf("csvio: %d carriers for %d traces", len(acq.CarriersHz), len(acq.Traces))
 	}
 	n := len(acq.Traces[0].Samples)
 	rate := acq.Traces[0].Rate
 	for i, tr := range acq.Traces {
 		if len(tr.Samples) != n {
-			return fmt.Errorf("csvio: trace %d has %d samples, want %d", i, len(tr.Samples), n)
+			return nil, fmt.Errorf("csvio: trace %d has %d samples, want %d", i, len(tr.Samples), n)
 		}
 		if tr.Rate != rate {
-			return fmt.Errorf("csvio: trace %d rate %v differs from %v", i, tr.Rate, rate)
+			return nil, fmt.Errorf("csvio: trace %d rate %v differs from %v", i, tr.Rate, rate)
 		}
 	}
+	return &encoder{acq: acq, rate: rate, n: n, next: -1}, nil
+}
 
-	cw := csv.NewWriter(w)
-	header := make([]string, 0, len(acq.CarriersHz)+1)
-	header = append(header, "time_s")
-	for _, f := range acq.CarriersHz {
-		header = append(header, fmt.Sprintf("ch_%dHz", int64(f)))
-	}
-	if err := cw.Write(header); err != nil {
-		return fmt.Errorf("csvio: writing header: %w", err)
-	}
-	row := make([]string, len(header))
-	for i := 0; i < n; i++ {
-		row[0] = strconv.FormatFloat(float64(i)/rate, 'g', -1, 64)
-		for c, tr := range acq.Traces {
-			row[c+1] = strconv.FormatFloat(tr.Samples[i], 'g', -1, 64)
+// done reports whether every row has been written.
+func (e *encoder) done() bool { return e.next == e.n }
+
+// appendRows appends the next rows to dst, the header first, until dst
+// holds at least limit bytes or no row is left. The last row may end past
+// limit.
+func (e *encoder) appendRows(dst []byte, limit int) []byte {
+	if e.next < 0 {
+		dst = append(dst, "time_s"...)
+		for _, f := range e.acq.CarriersHz {
+			dst = append(dst, ",ch_"...)
+			dst = strconv.AppendInt(dst, int64(f), 10)
+			dst = append(dst, "Hz"...)
 		}
-		if err := cw.Write(row); err != nil {
-			return fmt.Errorf("csvio: writing row %d: %w", i, err)
+		dst = append(dst, '\n')
+		e.next = 0
+	}
+	for ; e.next < e.n && len(dst) < limit; e.next++ {
+		dst = strconv.AppendFloat(dst, float64(e.next)/e.rate, 'g', -1, 64)
+		for _, tr := range e.acq.Traces {
+			dst = append(dst, ',')
+			dst = strconv.AppendFloat(dst, tr.Samples[e.next], 'g', -1, 64)
 		}
+		dst = append(dst, '\n')
 	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		return fmt.Errorf("csvio: flushing: %w", err)
-	}
-	return nil
+	return dst
 }
 
 // DecodeBuffer holds reusable sample storage for DecodeAcquisitionBuffer
@@ -145,13 +200,18 @@ func decodeAcquisition(r io.Reader, buf *DecodeBuffer) (lockin.Acquisition, erro
 				ErrBadCSV, len(rec), len(carriers)+1)
 		}
 		t, err := strconv.ParseFloat(rec[0], 64)
-		if err != nil {
+		if err != nil || !finite(t) {
 			return lockin.Acquisition{}, fmt.Errorf("%w: bad time %q", ErrBadCSV, rec[0])
+		}
+		// The rate is recovered from this column, so the sample clock must
+		// tick forward.
+		if n := len(times); n > 0 && t <= times[n-1] {
+			return lockin.Acquisition{}, fmt.Errorf("%w: time %q does not follow %v", ErrBadCSV, rec[0], times[n-1])
 		}
 		times = append(times, t)
 		for c := range carriers {
 			v, err := strconv.ParseFloat(rec[c+1], 64)
-			if err != nil {
+			if err != nil || !finite(v) {
 				return lockin.Acquisition{}, fmt.Errorf("%w: bad value %q", ErrBadCSV, rec[c+1])
 			}
 			samples[c] = append(samples[c], v)
@@ -160,7 +220,11 @@ func decodeAcquisition(r io.Reader, buf *DecodeBuffer) (lockin.Acquisition, erro
 	if len(times) < 2 {
 		return lockin.Acquisition{}, fmt.Errorf("%w: need at least 2 samples", ErrBadCSV)
 	}
-	rate := float64(len(times)-1) / (times[len(times)-1] - times[0])
+	span := times[len(times)-1] - times[0]
+	rate := float64(len(times)-1) / span
+	if !finite(rate) || rate <= 0 {
+		return lockin.Acquisition{}, fmt.Errorf("%w: %d samples over %v s give no sample rate", ErrBadCSV, len(times), span)
+	}
 
 	acq := lockin.Acquisition{
 		CarriersHz: carriers,
@@ -172,22 +236,218 @@ func decodeAcquisition(r io.Reader, buf *DecodeBuffer) (lockin.Acquisition, erro
 	return acq, nil
 }
 
+// finite reports whether v is neither NaN nor infinite.
+func finite(v float64) bool { return math.Abs(v) <= math.MaxFloat64 }
+
 // CompressAcquisition encodes the acquisition as CSV inside a zip archive —
-// the exact payload the phone uploads.
+// the exact payload the phone uploads — in one pass over the samples. The
+// CSV is cut into segments as it is encoded, and GOMAXPROCS workers deflate
+// the segments while later rows are still being written. The payload is one
+// measurements.csv member holding one deflate stream; its bytes do not
+// depend on the worker count, and at most a few segments of CSV are held at
+// once however long the capture is (DESIGN.md §12).
 func CompressAcquisition(acq lockin.Acquisition) ([]byte, error) {
+	enc, err := newEncoder(acq)
+	if err != nil {
+		return nil, err
+	}
+	workers := runtime.GOMAXPROCS(0)
+	// At most two segments per worker exist at once: one in its hands and
+	// one queued behind it, so the encoder rarely waits on a busy worker.
+	// free and order can hold them all, so sends to them never block.
+	maxSegments := 2 * workers
+	free := make(chan *segment, maxSegments)
+	order := make(chan *segment, maxSegments)
+	jobs := make(chan *segment)
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			deflateSegments(jobs)
+		}()
+	}
+	go cutSegments(enc, maxSegments, free, jobs, order)
+
+	var (
+		chunks     [][]byte
+		crc        uint32
+		raw, comp  uint64
+		deflateErr error
+	)
+	for seg := range order {
+		<-seg.done
+		data := seg.csv[seg.window:]
+		crc = crc32.Update(crc, crc32.IEEETable, data)
+		raw += uint64(len(data))
+		comp += uint64(seg.out.Len())
+		chunks = append(chunks, bytes.Clone(seg.out.Bytes()))
+		if deflateErr == nil {
+			deflateErr = seg.err
+		}
+		free <- seg
+	}
+	wg.Wait()
+	close(free)
+	for seg := range free {
+		segmentPool.Put(seg)
+	}
+	if deflateErr != nil {
+		return nil, fmt.Errorf("csvio: compressing: %w", deflateErr)
+	}
+
 	var buf bytes.Buffer
+	buf.Grow(int(comp) + archiveSlack)
 	zw := zip.NewWriter(&buf)
-	f, err := zw.Create(MeasurementsFileName)
+	f, err := zw.CreateRaw(&zip.FileHeader{
+		Name:               MeasurementsFileName,
+		Method:             zip.Deflate,
+		CreatorVersion:     20, // the versions zip.Writer.Create records
+		ReaderVersion:      20,
+		CRC32:              crc,
+		CompressedSize64:   comp,
+		UncompressedSize64: raw,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("csvio: creating archive member: %w", err)
 	}
-	if err := EncodeAcquisition(f, acq); err != nil {
-		return nil, err
+	for _, c := range chunks {
+		if _, err := f.Write(c); err != nil {
+			return nil, fmt.Errorf("csvio: writing archive member: %w", err)
+		}
 	}
 	if err := zw.Close(); err != nil {
 		return nil, fmt.Errorf("csvio: closing archive: %w", err)
 	}
 	return buf.Bytes(), nil
+}
+
+// archiveSlack bounds the archive's bytes around the deflate stream: local
+// header, central directory and end record, in their zip64 forms too.
+const archiveSlack = 512
+
+// segment is one cut of the CSV on its way through the workers.
+type segment struct {
+	// csv is the window (the windowSize bytes before the segment; none for
+	// the first) followed by the segment's own bytes.
+	csv    []byte
+	window int
+	last   bool
+	out    bytes.Buffer  // the segment's deflate blocks
+	err    error         // from deflating it
+	done   chan struct{} // receives once out and err are set
+}
+
+var segmentPool = sync.Pool{New: func() any {
+	return &segment{
+		csv:  make([]byte, 0, windowSize+segmentSize+rowSlack),
+		done: make(chan struct{}, 1),
+	}
+}}
+
+// cutSegments encodes the CSV into segmentSize cuts and hands each one to
+// the collector through order and to a worker through jobs, in CSV order. It
+// reuses the segments the collector returns on free and draws at most
+// maxSegments from the pool. The window and any row past the cut are copied
+// into the next segment before the cut leaves, so the collector may recycle
+// it as soon as it is deflated.
+func cutSegments(enc *encoder, maxSegments int, free <-chan *segment, jobs, order chan<- *segment) {
+	defer close(jobs)
+	defer close(order)
+	drawn := 0
+	take := func() *segment {
+		if drawn < maxSegments {
+			select {
+			case seg := <-free:
+				return seg
+			default:
+				drawn++
+				return segmentPool.Get().(*segment)
+			}
+		}
+		return <-free
+	}
+	cur := take()
+	cur.csv, cur.window = cur.csv[:0], 0
+	for {
+		end := cur.window + segmentSize
+		cur.csv = enc.appendRows(cur.csv, end)
+		cur.last = enc.done() && len(cur.csv) <= end
+		if cur.last {
+			order <- cur
+			jobs <- cur
+			return
+		}
+		next := take()
+		next.csv = append(next.csv[:0], cur.csv[end-windowSize:]...)
+		next.window = windowSize
+		cur.csv = cur.csv[:end]
+		order <- cur
+		jobs <- cur
+		cur = next
+	}
+}
+
+// deflateSegments deflates segments from jobs until it is closed. A worker
+// that gets no segment takes no compressor.
+func deflateSegments(jobs <-chan *segment) {
+	var d *deflater
+	for seg := range jobs {
+		if d == nil {
+			d = deflaterPool.Get().(*deflater)
+		}
+		seg.out.Reset()
+		seg.err = d.deflate(seg)
+		seg.done <- struct{}{}
+	}
+	if d != nil {
+		deflaterPool.Put(d)
+	}
+}
+
+// deflater is one worker's compressor, kept across segments and captures: a
+// flate.Writer carries close to a megabyte of tables. flate.NewWriterDict
+// would fix one dictionary per writer, so a segment is primed instead by
+// compressing its window into io.Discard and sync-flushing: the window is
+// then in the compressor's history, and its own blocks start on a byte
+// boundary.
+type deflater struct {
+	fw  *flate.Writer
+	dst redirect
+}
+
+// redirect is the flate.Writer's destination, switched between priming and
+// the segment's own output.
+type redirect struct{ io.Writer }
+
+var deflaterPool = sync.Pool{New: func() any {
+	d := new(deflater)
+	d.fw, _ = flate.NewWriter(&d.dst, deflateLevel) // the level is valid
+	return d
+}}
+
+// deflate compresses seg's own bytes into seg.out. Every segment but the
+// last ends on a sync flush, which ends its blocks on a byte boundary
+// without a final block, so the outputs concatenate into one deflate stream.
+func (d *deflater) deflate(seg *segment) error {
+	d.dst.Writer = io.Discard
+	d.fw.Reset(&d.dst)
+	if seg.window > 0 {
+		if _, err := d.fw.Write(seg.csv[:seg.window]); err != nil {
+			return err
+		}
+		if err := d.fw.Flush(); err != nil {
+			return err
+		}
+	}
+	d.dst.Writer = &seg.out
+	if _, err := d.fw.Write(seg.csv[seg.window:]); err != nil {
+		return err
+	}
+	if seg.last {
+		return d.fw.Close()
+	}
+	return d.fw.Flush()
 }
 
 // DecompressAcquisition reverses CompressAcquisition.
@@ -199,37 +459,38 @@ func DecompressAcquisition(data []byte) (lockin.Acquisition, error) {
 // drawn from buf (which may be nil); see DecodeAcquisitionBuffer for the
 // aliasing contract.
 func DecompressAcquisitionBuffer(data []byte, buf *DecodeBuffer) (lockin.Acquisition, error) {
-	zr, err := zip.NewReader(bytes.NewReader(data), int64(len(data)))
+	f, err := measurements(data)
 	if err != nil {
-		return lockin.Acquisition{}, fmt.Errorf("csvio: opening archive: %w", err)
+		return lockin.Acquisition{}, err
 	}
-	for _, f := range zr.File {
-		if f.Name != MeasurementsFileName {
-			continue
-		}
-		rc, err := f.Open()
-		if err != nil {
-			return lockin.Acquisition{}, fmt.Errorf("csvio: opening member: %w", err)
-		}
-		defer rc.Close()
-		return decodeAcquisition(rc, buf)
+	rc, err := f.Open()
+	if err != nil {
+		return lockin.Acquisition{}, fmt.Errorf("csvio: opening member: %w", err)
 	}
-	return lockin.Acquisition{}, fmt.Errorf("csvio: archive lacks %s", MeasurementsFileName)
+	defer rc.Close()
+	return decodeAcquisition(rc, buf)
 }
 
-// CSVSize returns the exact size in bytes of the CSV encoding without
-// retaining it (used by the §VII-B data-volume experiment).
-func CSVSize(acq lockin.Acquisition) (int64, error) {
-	var counter countingWriter
-	if err := EncodeAcquisition(&counter, acq); err != nil {
+// MeasurementsSize returns the size of the CSV inside a payload as the
+// archive's own header records it, without inflating anything.
+func MeasurementsSize(data []byte) (int64, error) {
+	f, err := measurements(data)
+	if err != nil {
 		return 0, err
 	}
-	return counter.n, nil
+	return int64(f.UncompressedSize64), nil
 }
 
-type countingWriter struct{ n int64 }
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	c.n += int64(len(p))
-	return len(p), nil
+// measurements finds the measurements member of a payload archive.
+func measurements(data []byte) (*zip.File, error) {
+	zr, err := zip.NewReader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		return nil, fmt.Errorf("csvio: opening archive: %w", err)
+	}
+	for _, f := range zr.File {
+		if f.Name == MeasurementsFileName {
+			return f, nil
+		}
+	}
+	return nil, fmt.Errorf("csvio: archive lacks %s", MeasurementsFileName)
 }

@@ -15,7 +15,14 @@ import (
 
 func testAcquisition(t *testing.T, seconds float64) lockin.Acquisition {
 	t.Helper()
-	rng := drbg.NewFromSeed(61)
+	return testAcquisitionSeeded(t, 61, seconds)
+}
+
+// testAcquisitionSeeded is a two-carrier 450 Hz capture of noisy unit
+// samples whose bytes vary with the seed.
+func testAcquisitionSeeded(t *testing.T, seed uint64, seconds float64) lockin.Acquisition {
+	t.Helper()
+	rng := drbg.NewFromSeed(seed)
 	carriers := []float64{500e3, 2000e3}
 	traces := make([]sigproc.Trace, len(carriers))
 	n := int(seconds * 450)
@@ -73,6 +80,14 @@ func TestEncodeValidations(t *testing.T) {
 	if err := EncodeAcquisition(&buf, acq); err == nil {
 		t.Error("expected error for mismatched rates")
 	}
+	acq = testAcquisition(t, 1)
+	acq.CarriersHz = acq.CarriersHz[:1]
+	if err := EncodeAcquisition(&buf, acq); err == nil {
+		t.Error("expected error for fewer carriers than traces")
+	}
+	if _, err := CompressAcquisition(acq); err == nil {
+		t.Error("expected CompressAcquisition to reject fewer carriers than traces")
+	}
 }
 
 func TestDecodeRejectsMalformed(t *testing.T) {
@@ -87,6 +102,14 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		{"bad time", "time_s,ch_500000Hz\nx,1\n0.1,1\n"},
 		{"bad value", "time_s,ch_500000Hz\n0,x\n0.1,1\n"},
 		{"ragged row", "time_s,ch_500000Hz\n0,1,9\n"},
+		{"repeated time", "time_s,ch_500000Hz\n0,1\n0,1\n"},
+		{"decreasing time", "time_s,ch_500000Hz\n0.2,1\n0.1,1\n"},
+		{"NaN time", "time_s,ch_500000Hz\n0,1\nNaN,1\n"},
+		{"infinite time", "time_s,ch_500000Hz\n0,1\n+Inf,1\n"},
+		{"NaN value", "time_s,ch_500000Hz\n0,1\n0.1,NaN\n"},
+		{"infinite value", "time_s,ch_500000Hz\n0,-Inf\n0.1,1\n"},
+		{"time span overflows", "time_s,ch_500000Hz\n-1e308,1\n1e308,1\n"},
+		{"time span too short for a rate", "time_s,ch_500000Hz\n0,1\n5e-324,1\n"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -124,18 +147,15 @@ func TestCompressRoundTrip(t *testing.T) {
 func TestCompressionShrinksPayload(t *testing.T) {
 	// §VII-B reports ~2.5× shrink (600 MB → 240 MB) on real captures.
 	acq := testAcquisition(t, 10)
-	raw, err := CSVSize(acq)
-	if err != nil {
-		t.Fatalf("CSVSize: %v", err)
-	}
+	raw := encodeCSV(t, acq)
 	compressed, err := CompressAcquisition(acq)
 	if err != nil {
 		t.Fatalf("Compress: %v", err)
 	}
-	ratio := float64(raw) / float64(len(compressed))
+	ratio := float64(len(raw)) / float64(len(compressed))
 	if ratio < 1.5 {
 		t.Fatalf("compression ratio %.2f, want > 1.5 (raw %d, zip %d)",
-			ratio, raw, len(compressed))
+			ratio, len(raw), len(compressed))
 	}
 }
 
@@ -162,19 +182,32 @@ func TestDecompressRejectsMissingMember(t *testing.T) {
 	}
 }
 
-func TestCSVSizeMatchesEncoding(t *testing.T) {
+func TestMeasurementsSizeMatchesEncoding(t *testing.T) {
 	acq := testAcquisition(t, 2)
-	size, err := CSVSize(acq)
+	payload, err := CompressAcquisition(acq)
 	if err != nil {
 		t.Fatal(err)
 	}
+	size, err := MeasurementsSize(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(encodeCSV(t, acq)); size != int64(want) {
+		t.Fatalf("MeasurementsSize %d != encoded length %d", size, want)
+	}
+	if _, err := MeasurementsSize([]byte("not a zip")); err == nil {
+		t.Fatal("expected error for non-zip data")
+	}
+}
+
+// encodeCSV returns EncodeAcquisition's output.
+func encodeCSV(t *testing.T, acq lockin.Acquisition) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := EncodeAcquisition(&buf, acq); err != nil {
 		t.Fatal(err)
 	}
-	if int64(buf.Len()) != size {
-		t.Fatalf("CSVSize %d != encoded length %d", size, buf.Len())
-	}
+	return buf.Bytes()
 }
 
 // newZipWithMember writes a zip with a single named member into buf.

@@ -238,11 +238,11 @@ func CompressionExperiment(o Options) (CompressionResult, error) {
 	if err != nil {
 		return CompressionResult{}, err
 	}
-	raw, err := csvio.CSVSize(acqRes.Acquisition)
+	zipped, err := csvio.CompressAcquisition(acqRes.Acquisition)
 	if err != nil {
 		return CompressionResult{}, err
 	}
-	zipped, err := csvio.CompressAcquisition(acqRes.Acquisition)
+	raw, err := csvio.MeasurementsSize(zipped)
 	if err != nil {
 		return CompressionResult{}, err
 	}

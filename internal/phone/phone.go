@@ -184,11 +184,11 @@ func (r *Relay) Upload(ctx context.Context, acq lockin.Acquisition) (cloud.Submi
 		return cloud.SubmitResponse{}, UploadStats{}, errors.New("phone: relay has no cloud client")
 	}
 	r.progress("compressing measurements")
-	raw, err := csvio.CSVSize(acq)
+	payload, err := csvio.CompressAcquisition(acq)
 	if err != nil {
 		return cloud.SubmitResponse{}, UploadStats{}, err
 	}
-	payload, err := csvio.CompressAcquisition(acq)
+	raw, err := csvio.MeasurementsSize(payload)
 	if err != nil {
 		return cloud.SubmitResponse{}, UploadStats{}, err
 	}

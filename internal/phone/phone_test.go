@@ -1,6 +1,7 @@
 package phone
 
 import (
+	"bytes"
 	"context"
 	"net/http/httptest"
 	"strings"
@@ -76,6 +77,13 @@ func TestUploadRoundTrip(t *testing.T) {
 	}
 	if sub.ID == "" || sub.Report.PeakCount == 0 {
 		t.Fatalf("submission = %+v", sub)
+	}
+	var csv bytes.Buffer
+	if err := csvio.EncodeAcquisition(&csv, acq); err != nil {
+		t.Fatal(err)
+	}
+	if stats.RawBytes != int64(csv.Len()) {
+		t.Fatalf("RawBytes = %d, want the CSV's %d bytes", stats.RawBytes, csv.Len())
 	}
 	if stats.RawBytes <= stats.CompressedBytes {
 		t.Fatalf("compression did not shrink payload: %+v", stats)
