@@ -1,11 +1,12 @@
 // Golden-checksum tests pinning the seeded simulation outputs bit-for-bit.
 //
-// The scratch-reuse pass over the simulation/classification stack (DESIGN.md
-// §10) promises *bitwise-identical* results: same DRBG stream, same float
-// operations in the same order, for every worker count. These tests make
-// that promise enforceable — each hashes every deterministic field of a
-// seeded run (float64s by their IEEE-754 bit pattern, never via formatting)
-// and compares against a checksum recorded before the optimization pass.
+// The simulation/classification stack (DESIGN.md §10) promises
+// *bitwise-identical* results for a seed: the same DRBG draws for the key
+// schedule and the physics seeds, the same seeded ChaCha8 physics streams,
+// and the same float operations in the same order, for every worker count.
+// These tests make that promise enforceable — each hashes every
+// deterministic field of a seeded run (float64s by their IEEE-754 bit
+// pattern, never via formatting) and compares against a recorded checksum.
 // A mismatch means the simulated physics changed, not just its speed.
 package medsen_test
 
@@ -85,8 +86,8 @@ func runDiagnostic(t *testing.T, seed uint64, durationS float64, cellsPerUl floa
 }
 
 // TestGoldenDiagnosticResult pins the end-to-end local diagnostic for a
-// spread of seeds and durations, at every worker count. The checksums were
-// recorded from the pre-optimization tree; they must never change.
+// spread of seeds and durations, at every worker count. A change to the
+// checksums is a change to the simulated physics and must say so.
 func TestGoldenDiagnosticResult(t *testing.T) {
 	cases := []struct {
 		seed      uint64
@@ -94,9 +95,9 @@ func TestGoldenDiagnosticResult(t *testing.T) {
 		cells     float64
 		want      string
 	}{
-		{seed: 1, durationS: 30, cells: 150, want: "dd5f07702dad9d705789d82cb626f4013394dbb461bb3237c0cb8d77c2ea057f"},
-		{seed: 2, durationS: 20, cells: 350, want: "36e840692a3e6cb97340af0f3d89e827d2bc8c9fb7605151dcad35938bc0ecac"},
-		{seed: 2016, durationS: 25, cells: 600, want: "5e88404d26ce0890635f532bcfb736ecd014436e371e155f9e945a0e366f6dce"},
+		{seed: 1, durationS: 30, cells: 150, want: "57f618b0941a8424c99e355f70cab69a469765f71e54169577e0c3c1944a6ba3"},
+		{seed: 2, durationS: 20, cells: 350, want: "75b748aa92216d07f528e03257ddb4f6b29407458c0f32bf073c7881b68bf5f4"},
+		{seed: 2016, durationS: 25, cells: 600, want: "bc20abeccd5d05f3723e8ad3a84e3376f41c0d6e150daabb18286a09bc4f38b8"},
 	}
 	for _, tc := range cases {
 		serial := runDiagnostic(t, tc.seed, tc.durationS, tc.cells, 1)
@@ -141,8 +142,8 @@ func hashAcquisition(res sensor.Result) string {
 }
 
 // TestGoldenEncryptedAcquisition pins the raw encrypted acquisition (the
-// exact DRBG-driven sample stream) for seeded sensor runs, serial and at
-// every worker count.
+// key schedule's gating plus the seeded particle and noise streams) for
+// seeded sensor runs, serial and at every worker count.
 func TestGoldenEncryptedAcquisition(t *testing.T) {
 	cases := []struct {
 		seed      uint64
@@ -150,8 +151,8 @@ func TestGoldenEncryptedAcquisition(t *testing.T) {
 		cells     float64
 		want      string
 	}{
-		{seed: 1, durationS: 15, cells: 150, want: "89ac73d8b528e914889b99792172649cac55e82f95b8b1ff76dc97ce678f9fdb"},
-		{seed: 7, durationS: 8, cells: 500, want: "e8c0b8b71bfd3822235860c44103a33a9487f4ba6facff587e902abd875bfa67"},
+		{seed: 1, durationS: 15, cells: 150, want: "1821fef19adc974a60d22ce40bf4f810fc3337ec93de0090e351ea11f4e0f040"},
+		{seed: 7, durationS: 8, cells: 500, want: "408fa6013977741e56d813f30b7423f3b9ac4da4f22b190bc532d04779a4b822"},
 	}
 	for _, tc := range cases {
 		for _, workers := range []int{1, 0, 2, 5} {

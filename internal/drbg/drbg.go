@@ -45,7 +45,7 @@ var ErrReseedRequired = errors.New("drbg: reseed required")
 //
 // The implementation replays exactly the HMAC state transitions of the
 // textbook construction (hmac.New per call) but without its per-call cost:
-// the generator feeds ~10⁵ draws per simulated acquisition, so the hot path
+// a 3 h key schedule takes ~2×10⁵ draws (~19 per epoch), so the hot path
 // keeps two persistent SHA-256 states and snapshots of the key's ipad/opad
 // absorption, making a draw allocation-free (pinned by TestGenerateAllocFree)
 // while leaving the output stream bit-identical (pinned by the golden tests).

@@ -11,8 +11,11 @@
 package lockin
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"runtime"
 	"sync"
 
@@ -129,11 +132,10 @@ func (a Acquisition) Duration() float64 {
 }
 
 // renderScratch holds the per-render working memory that never escapes:
-// the shared drift baseline and the pre-drawn noise arena. Pooled contents
-// are fully overwritten before every use (DESIGN.md §6 rule 1).
+// the shared drift baseline. Pooled contents are fully overwritten before
+// every use (DESIGN.md §6 rule 1).
 type renderScratch struct {
 	baseline []float64
-	noise    []float64
 }
 
 var renderPool = sync.Pool{New: func() any { return new(renderScratch) }}
@@ -149,7 +151,7 @@ func growFloats(s []float64, n int) []float64 {
 
 // Render converts per-carrier pulse event lists into a sampled multi-carrier
 // acquisition. pulsesByCarrier[i] holds the voltage-drop events for
-// carriersHz[i]; durationS is the capture window. rng supplies front-end
+// carriersHz[i]; durationS is the capture window. rng seeds the front-end
 // noise and may be nil for a noiseless render (unit tests, ground truth).
 func Render(
 	carriersHz []float64,
@@ -163,11 +165,13 @@ func Render(
 
 // RenderWorkers is Render with explicit carrier-level parallelism: workers
 // caps the number of goroutines synthesizing carriers (0 = GOMAXPROCS,
-// 1 = serial). Every worker count produces bitwise-identical traces: the
-// front-end noise — the only DRBG consumer — is drawn serially into an
-// arena in carrier order first, and each carrier's synthesis then runs
-// independently over disjoint output slices with the exact arithmetic of
-// the serial path.
+// 1 = serial). A noisy render takes one 32-byte draw from rng, the
+// acquisition seed; each carrier's noise comes from its own ChaCha8 stream,
+// seeded from that seed and the carrier index alone (carrierSeed), and the
+// worker rendering a carrier draws its noise in place. Each carrier's
+// synthesis runs over a disjoint output slice with the same arithmetic at
+// every worker count, so every worker count produces bitwise-identical
+// traces.
 func RenderWorkers(
 	carriersHz []float64,
 	pulsesByCarrier [][]electrode.Pulse,
@@ -217,16 +221,11 @@ func RenderWorkers(
 		baseline[i] = cfg.Drift.baselineAt(float64(i) / cfg.SampleRateHz)
 	}
 
-	// Front-end noise is the only DRBG consumer in the render: draw it
-	// serially, in carrier order, so the stream consumption (and thus the
-	// output) is identical for every worker count.
 	withNoise := rng != nil && cfg.NoiseSigma > 0
-	var noise []float64
+	var seed [32]byte
 	if withNoise {
-		scratch.noise = growFloats(scratch.noise, nc*n)
-		noise = scratch.noise
-		for i := range noise {
-			noise[i] = rng.NormFloat64()
+		if err := rng.Generate(seed[:]); err != nil {
+			return Acquisition{}, fmt.Errorf("lockin: seeding the noise streams: %w", err)
 		}
 	}
 
@@ -252,11 +251,13 @@ func RenderWorkers(
 				samples[i] -= p.Amplitude * math.Exp(-0.5*d*d) * samples[i]
 			}
 		}
-		// Front-end noise after demodulation, from the pre-drawn arena.
+		// Front-end noise after demodulation, from this carrier's stream.
 		if withNoise {
-			cn := noise[ci*n : (ci+1)*n]
+			var src rand.ChaCha8
+			src.Seed(carrierSeed(seed, ci))
+			noise := rand.New(&src)
 			for i := range samples {
-				samples[i] += cfg.NoiseSigma * cn[i]
+				samples[i] += cfg.NoiseSigma * noise.NormFloat64()
 			}
 		}
 		tr := sigproc.Trace{Rate: cfg.SampleRateHz, Samples: samples}
@@ -289,4 +290,14 @@ func RenderWorkers(
 	}
 	wg.Wait()
 	return acq, nil
+}
+
+// carrierSeed derives carrier ci's noise-stream seed from the acquisition
+// seed: SHA-256(seed ‖ ci), so the streams are independent of one another
+// and of the order in which workers reach them.
+func carrierSeed(seed [32]byte, ci int) [32]byte {
+	var msg [40]byte
+	copy(msg[:], seed[:])
+	binary.BigEndian.PutUint64(msg[32:], uint64(ci))
+	return sha256.Sum256(msg[:])
 }

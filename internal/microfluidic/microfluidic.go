@@ -13,9 +13,11 @@
 package microfluidic
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"math/rand/v2"
+	"slices"
 
 	"medsen/internal/drbg"
 )
@@ -341,6 +343,10 @@ type GenerateConfig struct {
 // the acquisition window as a thinned Poisson process per particle type:
 // base rate = concentration × flow rate, thinned by the time-dependent loss
 // efficiency. The returned transits are sorted by entry time.
+//
+// The particle stream is physics, not key material: GenerateTransits takes
+// one 32-byte draw from rng and seeds a ChaCha8 stream with it, so the
+// capture's length and sample never change how far rng advances.
 func GenerateTransits(cfg GenerateConfig, rng *drbg.DRBG) ([]Transit, error) {
 	if err := cfg.Channel.Validate(); err != nil {
 		return nil, err
@@ -354,6 +360,13 @@ func GenerateTransits(cfg GenerateConfig, rng *drbg.DRBG) ([]Transit, error) {
 	if rng == nil {
 		return nil, fmt.Errorf("microfluidic: nil rng")
 	}
+	var seed [32]byte
+	if err := rng.Generate(seed[:]); err != nil {
+		return nil, fmt.Errorf("microfluidic: seeding the particle stream: %w", err)
+	}
+	var src rand.ChaCha8
+	src.Seed(seed)
+	r := rand.New(&src)
 	jitter := cfg.VelocityJitter
 	if jitter == 0 {
 		jitter = 0.08
@@ -405,18 +418,18 @@ func GenerateTransits(cfg GenerateConfig, rng *drbg.DRBG) ([]Transit, error) {
 		// base rate, keep each arrival with probability efficiency(t).
 		tNow := 0.0
 		for {
-			tNow += rng.ExpFloat64() / baseRate
+			tNow += r.ExpFloat64() / baseRate
 			if tNow >= cfg.DurationS {
 				break
 			}
-			if rng.Float64() > cfg.Loss.efficiency(props, tNow) {
+			if r.Float64() > cfg.Loss.efficiency(props, tNow) {
 				continue
 			}
-			v := meanV * (1 + jitter*rng.NormFloat64())
+			v := meanV * (1 + jitter*r.NormFloat64())
 			if v < meanV*0.2 {
 				v = meanV * 0.2
 			}
-			size := 1 + sizeJitter*rng.NormFloat64()
+			size := 1 + sizeJitter*r.NormFloat64()
 			if size < 0.7 {
 				size = 0.7
 			}
@@ -428,20 +441,12 @@ func GenerateTransits(cfg GenerateConfig, rng *drbg.DRBG) ([]Transit, error) {
 			})
 		}
 	}
-	// Concrete sort.Interface instead of sort.Slice: same pdqsort, same
-	// comparison/swap sequence (ties are impossible — entry times are
-	// distinct float64 draws), without the per-call closure and reflection
-	// swapper allocations.
-	sort.Sort(transitsByEntry(transits))
+	// slices.SortFunc rather than sort.Sort, whose interface argument
+	// escapes to the heap. Entry times are distinct float64 draws, so an
+	// unstable sort still gives one order.
+	slices.SortFunc(transits, func(a, b Transit) int { return cmp.Compare(a.EntryS, b.EntryS) })
 	return transits, nil
 }
-
-// transitsByEntry sorts transits by ascending entry time.
-type transitsByEntry []Transit
-
-func (s transitsByEntry) Len() int           { return len(s) }
-func (s transitsByEntry) Less(i, j int) bool { return s[i].EntryS < s[j].EntryS }
-func (s transitsByEntry) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
 
 // CountByType tallies transits per particle type.
 func CountByType(transits []Transit) map[Type]int {

@@ -122,7 +122,8 @@ type AcquireConfig struct {
 	PerCell *cipher.PerCellSchedule
 	// Workers caps the parallelism of the per-carrier render. 0 uses
 	// GOMAXPROCS, 1 forces serial; every setting produces bitwise-
-	// identical traces (noise is drawn serially regardless).
+	// identical traces (each carrier's noise comes from its own seeded
+	// stream, whichever worker draws it).
 	Workers int
 }
 

@@ -1,6 +1,7 @@
 package sensor
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -257,6 +258,49 @@ func TestAcquireAllCarriersRendered(t *testing.T) {
 	for i, tr := range res.Acquisition.Traces {
 		if len(tr.Samples) != 4500 {
 			t.Fatalf("carrier %d trace length %d, want 4500", i, len(tr.Samples))
+		}
+	}
+}
+
+// An acquisition draws its physics seeds from the device DRBG and nothing
+// else, so the key schedule generated after it does not depend on the
+// capture's duration, sample or mode: two devices with one seed derive the
+// same next schedule after different acquisitions.
+func TestKeyScheduleIndependentOfPriorAcquisition(t *testing.T) {
+	s := NewDefault()
+	params := s.CipherParams()
+	encrypting, err := cipher.Generate(params, 30, drbg.NewFromSeed(99))
+	if err != nil {
+		t.Fatal(err)
+	}
+	acquisitions := []AcquireConfig{
+		{Sample: microfluidic.NewSample(10, map[microfluidic.Type]float64{
+			microfluidic.TypeBloodCell: 150,
+		}), DurationS: 5},
+		{Sample: microfluidic.NewSample(10, map[microfluidic.Type]float64{
+			microfluidic.TypeBloodCell: 600,
+			microfluidic.TypeBead358:   200,
+		}), DurationS: 30, Schedule: encrypting},
+	}
+	var want []byte
+	for i, cfg := range acquisitions {
+		rng := drbg.NewFromSeed(42)
+		if _, err := s.Acquire(cfg, rng); err != nil {
+			t.Fatalf("acquisition %d: %v", i, err)
+		}
+		next, err := cipher.Generate(params, 30, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := next.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			want = got
+		} else if !bytes.Equal(got, want) {
+			t.Fatalf("acquisition %d (%vs, encrypted %v) changed the next key schedule",
+				i, cfg.DurationS, cfg.Schedule != nil)
 		}
 	}
 }

@@ -148,9 +148,10 @@ type deviceOptions struct {
 	sensorFn func() *sensor.Sensor
 }
 
-// WithSeed makes the device fully deterministic (simulation and key
-// generation both draw from the seeded DRBG). Without it the device seeds
-// from OS entropy, as the physical controller does from /dev/random.
+// WithSeed makes the device fully deterministic: key generation draws from
+// the seeded DRBG, and the simulated physics from streams seeded by it.
+// Without it the device seeds from OS entropy, as the physical controller
+// does from /dev/random.
 func WithSeed(seed uint64) DeviceOption {
 	return func(o *deviceOptions) { o.seed = &seed }
 }
