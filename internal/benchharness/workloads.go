@@ -43,6 +43,8 @@ func Benchmarks() []Benchmark {
 		{Name: "Electrode", F: benchElectrode},
 		{Name: "ClassifyDiagnose", F: benchClassifyDiagnose},
 		{Name: "CloudBatchSubmit", F: benchCloudBatchSubmit},
+		{Name: "CaptureDecode/2s", F: benchCaptureDecode(2)},
+		{Name: "CaptureDecode/30s", F: benchCaptureDecode(30)},
 	}
 }
 
@@ -279,20 +281,7 @@ func benchCloudBatchSubmit(b *testing.B) {
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 	client := &cloud.Client{BaseURL: ts.URL}
-
-	s := sensor.NewDefault()
-	s.Loss = microfluidic.LossModel{Disabled: true}
-	sample := microfluidic.NewSample(10, map[microfluidic.Type]float64{
-		microfluidic.TypeBloodCell: 300,
-	})
-	res, err := s.Acquire(sensor.AcquireConfig{Sample: sample, DurationS: 10}, drbg.NewFromSeed(2016))
-	if err != nil {
-		b.Fatal(err)
-	}
-	payload, err := csvio.CompressAcquisition(res.Acquisition)
-	if err != nil {
-		b.Fatal(err)
-	}
+	_, payload := compressedCapture(b, 10)
 	ctx := context.Background()
 	items := make([]cloud.BatchSubmission, batchSubmitItems)
 	b.ReportAllocs()
@@ -310,6 +299,51 @@ func benchCloudBatchSubmit(b *testing.B) {
 		}
 		if resp.Succeeded != batchSubmitItems {
 			b.Fatalf("succeeded %d/%d: %+v", resp.Succeeded, batchSubmitItems, resp.Results)
+		}
+	}
+}
+
+// compressedCapture is a deterministic 8-carrier blood-sample capture of the
+// given duration and its upload payload.
+func compressedCapture(b *testing.B, durationS float64) (lockin.Acquisition, []byte) {
+	s := sensor.NewDefault()
+	s.Loss = microfluidic.LossModel{Disabled: true}
+	sample := microfluidic.NewSample(10, map[microfluidic.Type]float64{
+		microfluidic.TypeBloodCell: 300,
+	})
+	res, err := s.Acquire(sensor.AcquireConfig{Sample: sample, DurationS: durationS}, drbg.NewFromSeed(2016))
+	if err != nil {
+		b.Fatal(err)
+	}
+	payload, err := csvio.CompressAcquisition(res.Acquisition)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res.Acquisition, payload
+}
+
+// benchCaptureDecode measures the cloud's first step on an upload: inflating
+// an 8-carrier capture of the given duration and scanning its CSV into a
+// warmed DecodeBuffer, as the service's pooled buffers are.
+func benchCaptureDecode(durationS float64) func(b *testing.B) {
+	return func(b *testing.B) {
+		acq, payload := compressedCapture(b, durationS)
+		var buf csvio.DecodeBuffer
+		decode := func() {
+			got, err := csvio.DecompressAcquisitionBuffer(payload, &buf)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(got.Traces) != len(acq.Traces) {
+				b.Fatalf("decoded %d carriers, want %d", len(got.Traces), len(acq.Traces))
+			}
+		}
+		decode() // grow the buffer to the capture outside the timer
+		b.SetBytes(acquisitionBytes(acq))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			decode()
 		}
 	}
 }

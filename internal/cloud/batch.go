@@ -28,6 +28,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
+	"sync"
 
 	"medsen/internal/audit"
 	"medsen/internal/auth"
@@ -184,15 +186,13 @@ func (s *Service) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	resp := BatchResponse{Results: make([]BatchItemResult, n)}
-	for i := range req.Items {
-		res := s.submitBatchItem(i, req.Items[i], owner, p)
+	resp := BatchResponse{Results: s.submitBatchItems(req.Items, owner, p)}
+	for _, res := range resp.Results {
 		if res.OK() {
 			resp.Succeeded++
 		} else {
 			resp.Failed++
 		}
-		resp.Results[i] = res
 	}
 	s.mu.Lock()
 	s.metrics.BatchRequests++
@@ -211,22 +211,112 @@ func batchItemError(index, status int, code string, err error) BatchItemResult {
 	}
 }
 
-// submitBatchItem runs one item through the inline submission path,
-// reporting the outcome in the item's result slot instead of the response
-// writer. Items run sequentially, so an intra-batch duplicate sees its
-// sibling's completed claim and dedups to the sibling's analysis.
-func (s *Service) submitBatchItem(index int, item BatchItem, owner string, p auth.Principal) BatchItemResult {
-	if len(item.Payload) == 0 {
-		return batchItemError(index, http.StatusBadRequest, CodeInvalidRequest,
-			errors.New("item has no payload"))
+// batchItemRun is one batch item on its way through submitBatchItems.
+type batchItemRun struct {
+	// key is the item's scoped capture key, "" when the item is invalid.
+	key string
+	// repeat marks a key that an earlier item of the batch claimed.
+	repeat bool
+	// claim is the up-front claim; status 0 owns the capture.
+	claim submitResult
+	// The owned capture's analysis, set before done is closed.
+	report Report
+	code   string
+	err    error
+	done   chan struct{}
+}
+
+// submitBatchItems runs a batch's items and answers one result per item,
+// exactly as submitting them one after another would, in three steps:
+//
+//  1. Claim every item's key in item order, under one s.mu hold.
+//  2. Decode and analyze the owned items, in item order, on
+//     max(1, GOMAXPROCS−1) goroutines, each analysis serial.
+//  3. Walk the items in item order on the handler goroutine, committing or
+//     releasing each owned item as its analysis lands. Its fsyncs overlap
+//     the analysis of the items after it.
+//
+// An item whose key repeats an earlier item's goes through submitInline at
+// its turn: a dedup hit after a stored sibling, a fresh run after a failed
+// one. So ids, statuses, reports, audit order and counters are the serial
+// loop's. A claimed key answers a concurrent submission 409 until its item
+// commits.
+func (s *Service) submitBatchItems(items []BatchItem, owner string, p auth.Principal) []BatchItemResult {
+	const auditAction = "analysis.batch_item"
+	results := make([]BatchItemResult, len(items))
+	runs := make([]batchItemRun, len(items))
+	for i, item := range items {
+		if len(item.Payload) == 0 {
+			results[i] = batchItemError(i, http.StatusBadRequest, CodeInvalidRequest, errors.New("item has no payload"))
+			continue
+		}
+		key, err := captureKeyFor(item.IdempotencyKey, item.Payload)
+		if err != nil {
+			results[i] = batchItemError(i, http.StatusBadRequest, CodeInvalidRequest, err)
+			continue
+		}
+		runs[i].key = scopedCaptureKey(owner, key)
 	}
-	key, err := captureKeyFor(item.IdempotencyKey, item.Payload)
-	if err != nil {
-		return batchItemError(index, http.StatusBadRequest, CodeInvalidRequest, err)
+
+	owned := make(chan int, len(items)) // every send happens before the first receive
+	claimed := make(map[string]bool, len(items))
+	s.mu.Lock()
+	for i := range runs {
+		r := &runs[i]
+		switch {
+		case r.key == "":
+		case claimed[r.key]:
+			r.repeat = true
+		default:
+			claimed[r.key] = true
+			if r.claim = s.claimCaptureLocked(r.key, false); r.claim.status == 0 {
+				r.done = make(chan struct{})
+				owned <- i
+			}
+		}
 	}
-	res := s.submitInline(item.Payload, scopedCaptureKey(owner, key), owner, p, "analysis.batch_item", false)
-	if res.err != nil {
-		return batchItemError(index, res.status, res.code, res.err)
+	s.mu.Unlock()
+	close(owned)
+
+	// Each analyzer runs its analyses serially: the batch spreads items, not
+	// carriers, over the cores, and with the handler it runs GOMAXPROCS
+	// goroutines. Parallel analyses inside parallel items would also take
+	// the core a concurrent reader needs.
+	cfg := s.cfg
+	cfg.Workers = 1
+	var analyzers sync.WaitGroup
+	for range min(len(owned), max(1, runtime.GOMAXPROCS(0)-1)) {
+		analyzers.Add(1)
+		go func() {
+			defer analyzers.Done()
+			for i := range owned {
+				r := &runs[i]
+				r.report, r.code, r.err = analyzeUpload(items[i].Payload, cfg, s.analyze)
+				close(r.done)
+			}
+		}()
 	}
-	return BatchItemResult{Index: index, Status: res.status, ID: res.id, Report: &res.report}
+
+	for i := range runs {
+		r := &runs[i]
+		var res submitResult
+		switch {
+		case r.key == "":
+			continue
+		case r.repeat:
+			res = s.submitInline(items[i].Payload, r.key, owner, p, auditAction, false)
+		case r.done == nil:
+			res = s.answerClaim(r.claim, p, auditAction)
+		default:
+			<-r.done
+			res = s.settleInline(r.report, r.code, r.err, r.key, owner, p, auditAction)
+		}
+		if res.err != nil {
+			results[i] = batchItemError(i, res.status, res.code, res.err)
+		} else {
+			results[i] = BatchItemResult{Index: i, Status: res.status, ID: res.id, Report: &res.report}
+		}
+	}
+	analyzers.Wait()
+	return results
 }

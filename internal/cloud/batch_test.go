@@ -7,10 +7,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"medsen/internal/audit"
 )
 
 // postBatch sends a raw batch request and decodes the response envelope.
@@ -119,6 +122,113 @@ func TestBatchIntraBatchDuplicateDedups(t *testing.T) {
 	}
 	if len(list) != 1 {
 		t.Fatalf("stored analyses = %d, want 1", len(list))
+	}
+}
+
+// TestBatchMatchesSerialLoopAcrossGOMAXPROCS pins the batch to the serial
+// item loop it replaced, whatever the analyzer count: one batch holding a
+// fresh capture, a replay of a stored one, an undecodable payload, a repeat
+// of the fresh capture, and a key whose undecodable first occurrence is
+// followed by a valid repeat gives the same statuses, ids, reports, audit
+// records and counters at GOMAXPROCS 1, 2 and 8.
+func TestBatchMatchesSerialLoopAcrossGOMAXPROCS(t *testing.T) {
+	reports := map[string]string{}
+	capture := func(seed uint64) []byte {
+		acq, payload := testCapture(t, seed, 10)
+		report, err := Analyze(acq, DefaultAnalysisConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		js, _ := json.Marshal(report)
+		reports[string(payload)] = string(js)
+		return payload
+	}
+	fresh, stored, late := capture(531), capture(532), capture(533)
+	garbage := []byte("not a zip at all")
+	items := []BatchSubmission{
+		{Payload: fresh},
+		{Payload: stored},
+		{Payload: garbage},
+		{Payload: fresh},
+		{Payload: garbage, IdempotencyKey: "retried"},
+		{Payload: late, IdempotencyKey: "retried"},
+	}
+	type outcome struct {
+		status int
+		id     string
+		code   string
+		report string
+	}
+	want := []outcome{
+		{http.StatusCreated, "an-2", "", reports[string(fresh)]},
+		{http.StatusOK, "an-1", "", reports[string(stored)]},
+		{http.StatusBadRequest, "", CodeInvalidRequest, ""},
+		{http.StatusOK, "an-2", "", reports[string(fresh)]},
+		{http.StatusBadRequest, "", CodeInvalidRequest, ""},
+		{http.StatusCreated, "an-3", "", reports[string(late)]},
+	}
+	// Object, outcome and detail of each record, in chain order.
+	wantAudit := []string{
+		"analysis.create an-1 ok ",
+		"analysis.batch_item an-2 ok ",
+		"analysis.batch_item an-1 ok dedup",
+		"analysis.batch_item  error invalid_request",
+		"analysis.batch_item an-2 ok dedup",
+		"analysis.batch_item  error invalid_request",
+		"analysis.batch_item an-3 ok ",
+	}
+
+	for _, procs := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			log, err := audit.Open("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			svc, err := NewService(ServiceConfig{Audit: log})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(svc.Close)
+			ts := httptest.NewServer(svc.Handler())
+			t.Cleanup(ts.Close)
+			client := &Client{BaseURL: ts.URL}
+			ctx := context.Background()
+
+			if sub, err := client.SubmitCompressed(ctx, stored); err != nil || sub.ID != "an-1" {
+				t.Fatalf("storing the replayed capture: %+v, %v", sub, err)
+			}
+			resp, err := client.SubmitBatch(ctx, items)
+			if err != nil {
+				t.Fatalf("SubmitBatch: %v", err)
+			}
+			for i, r := range resp.Results {
+				got := outcome{status: r.Status, id: r.ID}
+				if r.Error != nil {
+					got.code = r.Error.Code
+				}
+				if r.Report != nil {
+					js, _ := json.Marshal(r.Report)
+					got.report = string(js)
+				}
+				if r.Index != i || got != want[i] {
+					t.Errorf("item %d: index %d, status %d, id %q, code %q, report matches %v; want status %d, id %q, code %q",
+						i, r.Index, got.status, got.id, got.code, got.report == want[i].report, want[i].status, want[i].id, want[i].code)
+				}
+			}
+			var chain []string
+			for _, rec := range log.Snapshot("", "") {
+				chain = append(chain, strings.Join([]string{rec.Action, rec.Object, rec.Outcome, rec.Detail}, " "))
+			}
+			if strings.Join(chain, "\n") != strings.Join(wantAudit, "\n") {
+				t.Errorf("audit chain:\n%s\nwant:\n%s", strings.Join(chain, "\n"), strings.Join(wantAudit, "\n"))
+			}
+			m := svc.Snapshot()
+			if m.Uploads != 3 || m.DedupHits != 2 || m.UploadErrors != 2 || m.BatchItemErrors != 2 {
+				t.Errorf("Uploads %d, DedupHits %d, UploadErrors %d, BatchItemErrors %d; want 3, 2, 2, 2",
+					m.Uploads, m.DedupHits, m.UploadErrors, m.BatchItemErrors)
+			}
+		})
 	}
 }
 

@@ -101,22 +101,35 @@ func (s *Service) claimCaptureLocked(key string, shed bool) submitResult {
 }
 
 // submitInline runs one capture through claim → analyze → commit-or-release
-// on the caller's goroutine: the sync handler sheds each capture, the batch
-// loop passes shed=false because it shed the batch as a whole. Stored,
-// deduplicated (detail "dedup") and failed (detail: the error code) outcomes
-// are audited under auditAction. A failed analysis or store counts as an
-// upload error and releases the reservation, so a retry runs the capture.
+// on the caller's goroutine: the sync handler sheds each capture, and the
+// batch passes shed=false for an item that repeats an earlier item's key,
+// because it shed the batch as a whole. Stored, deduplicated (detail
+// "dedup") and failed (detail: the error code) outcomes are audited under
+// auditAction. A failed analysis or store counts as an upload error and
+// releases the reservation, so a retry runs the capture.
 func (s *Service) submitInline(payload []byte, key, owner string, p auth.Principal, auditAction string, shed bool) submitResult {
 	s.mu.Lock()
 	res := s.claimCaptureLocked(key, shed)
 	s.mu.Unlock()
+	if res.status != 0 {
+		return s.answerClaim(res, p, auditAction)
+	}
+	report, code, err := analyzeUpload(payload, s.cfg, s.analyze)
+	return s.settleInline(report, code, err, key, owner, p, auditAction)
+}
+
+// answerClaim returns a claim that the index answered, auditing a dedup hit.
+func (s *Service) answerClaim(res submitResult, p auth.Principal, auditAction string) submitResult {
 	if res.status == http.StatusOK {
 		s.auditEvent(p, auditAction, res.id, audit.OutcomeOK, "dedup")
 	}
-	if res.status != 0 {
-		return res
-	}
-	report, code, err := analyzeUpload(payload, s.cfg, s.analyze)
+	return res
+}
+
+// settleInline ends an owned inline capture once its analysis has landed:
+// it commits the report, or releases the key when the analysis or the store
+// failed, then audits the outcome.
+func (s *Service) settleInline(report Report, code string, err error, key, owner string, p auth.Principal, auditAction string) submitResult {
 	var id string
 	s.mu.Lock()
 	if err == nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -234,6 +235,27 @@ func TestCaptureContractAcrossEntryPoints(t *testing.T) {
 					t.Fatalf("retry stored %s, want an-1 (the failure must not burn an id)", id)
 				}
 				checkStored(t, svc, c, id, reference)
+			})
+			if ep.name != "batch" {
+				return
+			}
+			t.Run("repeat after the write fails", func(t *testing.T) {
+				// The item that repeats a failed item's key runs the capture
+				// afresh at its turn, as the serial loop did, instead of
+				// meeting its sibling's claim.
+				svc, store, c := newContractServer(t, ep)
+				store.failNext(KindAnalysis, 0)
+				resp, err := c.SubmitBatch(context.Background(), []BatchSubmission{{Payload: payload}, {Payload: payload}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r := resp.Results[0]; r.Status != http.StatusInternalServerError {
+					t.Fatalf("first item answered %d, want 500 for the refused write", r.Status)
+				}
+				if r := resp.Results[1]; r.Status != http.StatusCreated || r.ID != "an-1" {
+					t.Fatalf("repeat answered %d %q, want 201 an-1", r.Status, r.ID)
+				}
+				checkStored(t, svc, c, "an-1", reference)
 			})
 		})
 	}

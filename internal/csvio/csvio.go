@@ -8,9 +8,9 @@ package csvio
 
 import (
 	"archive/zip"
+	"bufio"
 	"bytes"
 	"compress/flate"
-	"encoding/csv"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -123,15 +123,22 @@ func (e *encoder) appendRows(dst []byte, limit int) []byte {
 	return dst
 }
 
-// DecodeBuffer holds reusable sample storage for DecodeAcquisitionBuffer
-// and DecompressAcquisitionBuffer, so sustained decoding (one upload after
-// another in the cloud service) stops paying append-growth garbage for every
-// capture. The zero value is ready to use; a buffer must not be shared
-// between concurrent decodes.
+// DecodeBuffer holds reusable decode state for DecodeAcquisitionBuffer and
+// DecompressAcquisitionBuffer: the sample storage, the line reader and room
+// for a row longer than the reader's buffer. Sustained decoding (one upload
+// after another in the cloud service) then allocates nothing per row. The
+// zero value is ready to use; a buffer must not be shared between
+// concurrent decodes.
 type DecodeBuffer struct {
 	samples [][]float64
 	times   []float64
+	rd      *bufio.Reader
+	long    []byte
 }
+
+// readBufferSize is the line reader's buffer. A longer row is gathered in
+// DecodeBuffer.long.
+const readBufferSize = 4 << 10
 
 // DecodeAcquisition parses a CSV produced by EncodeAcquisition. The sampling
 // rate is recovered from the time column.
@@ -147,72 +154,80 @@ func DecodeAcquisitionBuffer(r io.Reader, buf *DecodeBuffer) (lockin.Acquisition
 	return decodeAcquisition(r, buf)
 }
 
+// decodeAcquisition scans the DESIGN.md §12 format row by row: a header of
+// "time_s" and canonical channel columns, then rows of unquoted numbers,
+// with encoding/csv's line endings and blank lines. Any quote is rejected.
+// Fields are parsed in place, so a warmed buffer allocates nothing per row.
 func decodeAcquisition(r io.Reader, buf *DecodeBuffer) (lockin.Acquisition, error) {
-	cr := csv.NewReader(r)
-	cr.ReuseRecord = true
-	header, err := cr.Read()
-	if err != nil {
-		return lockin.Acquisition{}, fmt.Errorf("%w: missing header: %v", ErrBadCSV, err)
+	if buf == nil {
+		buf = new(DecodeBuffer)
 	}
-	if len(header) < 2 || header[0] != "time_s" {
+	if buf.rd == nil {
+		buf.rd = bufio.NewReaderSize(nil, readBufferSize)
+	}
+	buf.rd.Reset(r)
+	// A pooled buffer must not keep the source (a zip member reader) alive.
+	defer buf.rd.Reset(nil)
+
+	header, err := buf.row()
+	if err != nil {
+		return lockin.Acquisition{}, fmt.Errorf("%w: reading header: %v", ErrBadCSV, err)
+	}
+	first, cols, _ := bytes.Cut(header, comma)
+	if string(first) != "time_s" || len(cols) == 0 {
 		return lockin.Acquisition{}, fmt.Errorf("%w: bad header %q", ErrBadCSV, header)
 	}
-	carriers := make([]float64, 0, len(header)-1)
-	for _, col := range header[1:] {
-		var hz int64
-		if _, err := fmt.Sscanf(col, "ch_%dHz", &hz); err != nil {
+	channels := bytes.Split(cols, comma)
+	carriers := make([]float64, len(channels))
+	for c, col := range channels {
+		hz, ok := channelHz(col)
+		if !ok {
 			return lockin.Acquisition{}, fmt.Errorf("%w: bad channel column %q", ErrBadCSV, col)
 		}
-		carriers = append(carriers, float64(hz))
+		carriers[c] = float64(hz)
 	}
 
-	var samples [][]float64
-	var times []float64
-	if buf != nil {
-		if cap(buf.samples) < len(carriers) {
-			buf.samples = make([][]float64, len(carriers))
-		}
-		samples = buf.samples[:len(carriers)]
-		for c := range samples {
-			samples[c] = samples[c][:0]
-		}
-		times = buf.times[:0]
-	} else {
-		samples = make([][]float64, len(carriers))
+	if cap(buf.samples) < len(carriers) {
+		buf.samples = make([][]float64, len(carriers))
 	}
+	samples := buf.samples[:len(carriers)]
+	for c := range samples {
+		samples[c] = samples[c][:0]
+	}
+	times := buf.times[:0]
 	defer func() {
 		// Keep whatever the appends grew, even on a parse error.
-		if buf != nil {
-			buf.samples = samples
-			buf.times = times
-		}
+		buf.samples = samples
+		buf.times = times
 	}()
 	for {
-		rec, err := cr.Read()
+		row, err := buf.row()
 		if errors.Is(err, io.EOF) {
 			break
 		}
 		if err != nil {
 			return lockin.Acquisition{}, fmt.Errorf("%w: %v", ErrBadCSV, err)
 		}
-		if len(rec) != len(carriers)+1 {
+		if n := bytes.Count(row, comma) + 1; n != len(carriers)+1 {
 			return lockin.Acquisition{}, fmt.Errorf("%w: row has %d fields, want %d",
-				ErrBadCSV, len(rec), len(carriers)+1)
+				ErrBadCSV, n, len(carriers)+1)
 		}
-		t, err := strconv.ParseFloat(rec[0], 64)
+		field, rest, _ := bytes.Cut(row, comma)
+		t, err := strconv.ParseFloat(string(field), 64)
 		if err != nil || !finite(t) {
-			return lockin.Acquisition{}, fmt.Errorf("%w: bad time %q", ErrBadCSV, rec[0])
+			return lockin.Acquisition{}, fmt.Errorf("%w: bad time %q", ErrBadCSV, field)
 		}
 		// The rate is recovered from this column, so the sample clock must
 		// tick forward.
 		if n := len(times); n > 0 && t <= times[n-1] {
-			return lockin.Acquisition{}, fmt.Errorf("%w: time %q does not follow %v", ErrBadCSV, rec[0], times[n-1])
+			return lockin.Acquisition{}, fmt.Errorf("%w: time %q does not follow %v", ErrBadCSV, field, times[n-1])
 		}
 		times = append(times, t)
-		for c := range carriers {
-			v, err := strconv.ParseFloat(rec[c+1], 64)
+		for c := range samples {
+			field, rest, _ = bytes.Cut(rest, comma)
+			v, err := strconv.ParseFloat(string(field), 64)
 			if err != nil || !finite(v) {
-				return lockin.Acquisition{}, fmt.Errorf("%w: bad value %q", ErrBadCSV, rec[c+1])
+				return lockin.Acquisition{}, fmt.Errorf("%w: bad value %q", ErrBadCSV, field)
 			}
 			samples[c] = append(samples[c], v)
 		}
@@ -234,6 +249,58 @@ func decodeAcquisition(r io.Reader, buf *DecodeBuffer) (lockin.Acquisition, erro
 		acq.Traces[c] = sigproc.Trace{Rate: rate, Samples: samples[c]}
 	}
 	return acq, nil
+}
+
+var (
+	comma     = []byte{','}
+	errQuoted = errors.New("quoted field")
+)
+
+// row returns the next non-blank line without its line ending, as
+// encoding/csv reads lines: "\n" or "\r\n" end a line, and one "\r" before
+// the end of the input is dropped. It returns io.EOF after the last row, and
+// an error for a row holding a quote: no field of the format is quoted, so
+// rows stay comparable to what encoding/csv parses. The row aliases the
+// reader's buffer (or buf.long) until the next call.
+func (buf *DecodeBuffer) row() ([]byte, error) {
+	for {
+		line, err := buf.rd.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			buf.long = append(buf.long[:0], line...)
+			for err == bufio.ErrBufferFull {
+				line, err = buf.rd.ReadSlice('\n')
+				buf.long = append(buf.long, line...)
+			}
+			line = buf.long
+		}
+		if err != nil && (err != io.EOF || len(line) == 0) {
+			return nil, err
+		}
+		line = bytes.TrimSuffix(line, []byte{'\n'})
+		line = bytes.TrimSuffix(line, []byte{'\r'})
+		if len(line) == 0 {
+			continue
+		}
+		if bytes.IndexByte(line, '"') >= 0 {
+			return nil, errQuoted
+		}
+		return line, nil
+	}
+}
+
+// channelHz parses a channel column exactly as appendRows writes it:
+// "ch_", the frequency in strconv's decimal form, "Hz".
+func channelHz(col []byte) (int64, bool) {
+	digits, ok := bytes.CutPrefix(col, []byte("ch_"))
+	if !ok {
+		return 0, false
+	}
+	if digits, ok = bytes.CutSuffix(digits, []byte("Hz")); !ok {
+		return 0, false
+	}
+	hz, err := strconv.ParseInt(string(digits), 10, 64)
+	var canonical [20]byte
+	return hz, err == nil && bytes.Equal(strconv.AppendInt(canonical[:0], hz, 10), digits)
 }
 
 // finite reports whether v is neither NaN nor infinite.

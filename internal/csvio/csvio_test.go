@@ -110,6 +110,10 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		{"infinite value", "time_s,ch_500000Hz\n0,-Inf\n0.1,1\n"},
 		{"time span overflows", "time_s,ch_500000Hz\n-1e308,1\n1e308,1\n"},
 		{"time span too short for a rate", "time_s,ch_500000Hz\n0,1\n5e-324,1\n"},
+		{"channel column with a suffix", "time_s,ch_500000Hzjunk\n0,1\n0.1,1\n"},
+		{"channel column with a sign", "time_s,ch_+500000Hz\n0,1\n0.1,1\n"},
+		{"channel column with a trailing space", "time_s,ch_500000Hz \n0,1\n0.1,1\n"},
+		{"quoted number", "time_s,ch_500000Hz\n0,\"1\"\n0.1,1\n"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -121,6 +125,31 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 				t.Fatalf("error %v should wrap ErrBadCSV", err)
 			}
 		})
+	}
+}
+
+// TestDecodeAllocsIndependentOfRows pins the row scanner's contract: a
+// warmed buffer decodes a 13,500-row capture with as many allocations as a
+// 900-row one, so no row allocates.
+func TestDecodeAllocsIndependentOfRows(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops items, so allocation counts vary")
+	}
+	short, long := encodeCSV(t, testAcquisition(t, 2)), encodeCSV(t, testAcquisition(t, 30))
+	var buf DecodeBuffer
+	decode := func(csv []byte) func() {
+		return func() {
+			if _, err := DecodeAcquisitionBuffer(bytes.NewReader(csv), &buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	decode(long)() // warm the buffer to the longer capture
+	shortAllocs := testing.AllocsPerRun(10, decode(short))
+	longAllocs := testing.AllocsPerRun(10, decode(long))
+	t.Logf("900 rows: %v allocs, 13,500 rows: %v allocs", shortAllocs, longAllocs)
+	if shortAllocs != longAllocs {
+		t.Fatalf("900 rows allocate %v, 13,500 rows %v: decoding allocates per row", shortAllocs, longAllocs)
 	}
 }
 
