@@ -6,17 +6,12 @@
 package medsen_test
 
 import (
-	"context"
 	"testing"
 
-	"medsen"
+	"medsen/internal/benchharness"
 	"medsen/internal/cipher"
-	"medsen/internal/cloud"
 	"medsen/internal/drbg"
 	"medsen/internal/experiments"
-	"medsen/internal/lockin"
-	"medsen/internal/microfluidic"
-	"medsen/internal/sensor"
 	"medsen/internal/sigproc"
 )
 
@@ -207,34 +202,6 @@ func BenchmarkAblationDetrend(b *testing.B) {
 	}
 }
 
-// BenchmarkDiagnosticLocal measures the complete user-visible flow through
-// the public API (key generation, simulated acquisition, analysis,
-// decryption, diagnosis). The device is re-seeded (recreated) outside the
-// timer before every iteration: the device's DRBG advances with each
-// diagnostic, so a device reused across iterations would draw a different
-// key schedule and particle stream every time — each iteration would measure
-// a different workload and the result would drift with b.N.
-func BenchmarkDiagnosticLocal(b *testing.B) {
-	b.ReportAllocs()
-	sample := medsen.NewBloodSample(10, 150)
-	analyzer := medsen.NewLocalAnalyzer()
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		device, err := medsen.NewDevice(medsen.WithSeed(1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		if _, err := device.RunDiagnostic(ctx, medsen.RunConfig{
-			Sample: sample, DurationS: 30,
-		}, analyzer); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkDecrypt isolates the controller's decryption cost (the paper:
 // "light computation" suitable for the resource-constrained controller).
 func BenchmarkDecrypt(b *testing.B) {
@@ -287,79 +254,12 @@ func BenchmarkAblationSchemeComparison(b *testing.B) {
 	}
 }
 
-// benchAcquisition8 builds one deterministic 8-carrier capture for the
-// cloud-pipeline benchmarks.
-func benchAcquisition8(b *testing.B, durationS float64) lockin.Acquisition {
-	b.Helper()
-	s := sensor.NewDefault()
-	s.Loss = microfluidic.LossModel{Disabled: true}
-	sample := microfluidic.NewSample(10, map[microfluidic.Type]float64{
-		microfluidic.TypeBloodCell: 300,
-	})
-	res, err := s.Acquire(sensor.AcquireConfig{Sample: sample, DurationS: durationS}, drbg.NewFromSeed(2016))
-	if err != nil {
-		b.Fatal(err)
-	}
-	if len(res.Acquisition.Traces) != 8 {
-		b.Fatalf("expected 8 carriers, got %d", len(res.Acquisition.Traces))
-	}
-	return res.Acquisition
-}
-
-// BenchmarkCloudAnalyze compares the serial §VI-C pipeline against the
-// parallel one on the same 8-carrier acquisition. On a 4+ core machine the
-// parallel variant should clear a 1.5× speedup (per-carrier detrending is
-// embarrassingly parallel); outputs are bitwise identical either way.
-func BenchmarkCloudAnalyze(b *testing.B) {
-	acq := benchAcquisition8(b, 300)
-	var sampleBytes int64
-	for _, tr := range acq.Traces {
-		sampleBytes += int64(len(tr.Samples)) * 8
-	}
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{
-		{"serial", 1},
-		{"parallel", 0}, // 0 → GOMAXPROCS
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(sampleBytes)
-			cfg := cloud.DefaultAnalysisConfig()
-			cfg.Workers = bc.workers
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				report, err := cloud.Analyze(acq, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if report.PeakCount == 0 {
-					b.Fatal("no peaks")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkDetrendWorkers isolates the piecewise detrend, the pipeline's
-// dominant cost, across worker-pool sizes on one long carrier trace.
-func BenchmarkDetrendWorkers(b *testing.B) {
-	acq := benchAcquisition8(b, 300)
-	tr := acq.Traces[0]
-	for _, workers := range []int{1, 0} {
-		name := "serial"
-		if workers == 0 {
-			name = "gomaxprocs"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(len(tr.Samples)) * 8)
-			for i := 0; i < b.N; i++ {
-				if _, err := sigproc.DetrendWorkers(tr, sigproc.DefaultDetrendConfig(), workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+// BenchmarkHarness runs every hot-path workload of internal/benchharness —
+// the set medsen-bench measures and compares against BENCH_*.json — as one
+// sub-benchmark each, so `go test -bench Harness/DiagnosticLocal` times the
+// same body the baseline recorded.
+func BenchmarkHarness(b *testing.B) {
+	for _, bm := range benchharness.Benchmarks() {
+		b.Run(bm.Name, bm.F)
 	}
 }

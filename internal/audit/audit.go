@@ -120,8 +120,10 @@ type Log struct {
 	// appendErr is the last Append failure, cleared by the next success.
 	// Probe reports it so readiness turns red the moment the trail stops
 	// accepting records, instead of waiting for the next authenticated
-	// request to fail.
-	appendErr error
+	// request to fail. appendErrs counts every failure: each is a gap in
+	// the trail.
+	appendErr  error
+	appendErrs int64
 }
 
 // Open loads and verifies the chain at path (creating the file if absent)
@@ -172,8 +174,10 @@ func parseChain(data []byte) ([]Record, error) {
 
 // Append assigns the chain fields (Seq, TimeUnix, PrevHash, Hash) to the
 // record, durably appends it, and returns the completed record. On a write
-// error nothing is committed: the in-memory chain and the caller's view stay
-// consistent, and the next append retries the same sequence number.
+// error — including any append to a file-backed log after Close — nothing is
+// committed: the in-memory chain and the caller's view stay consistent, the
+// next append retries the same sequence number, and AppendErrors counts the
+// failure.
 func (l *Log) Append(r Record) (Record, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -184,13 +188,18 @@ func (l *Log) Append(r Record) (Record, error) {
 		r.PrevHash = l.records[n-1].Hash
 	}
 	r.Hash = hashRecord(r)
-	if l.file != nil {
+	if l.path != "" {
 		data, err := json.Marshal(r)
 		if err != nil {
 			return Record{}, fmt.Errorf("audit: encoding record: %w", err)
 		}
-		if _, err := l.file.Write(append(data, '\n')); err != nil {
+		err = os.ErrClosed
+		if l.file != nil {
+			_, err = l.file.Write(append(data, '\n'))
+		}
+		if err != nil {
 			l.appendErr = err
+			l.appendErrs++
 			return Record{}, fmt.Errorf("audit: appending record: %w", err)
 		}
 	}
@@ -203,9 +212,9 @@ func (l *Log) Append(r Record) (Record, error) {
 // from the last failed Append when one is outstanding, else a write-and-remove
 // probe of a temp file beside the chain file — which catches a disk gone full
 // or read-only before any record is lost to it. A memory-only log always
-// probes clean. Readiness endpoints call this so a service whose audit trail
-// has stopped recording is pulled from rotation instead of serving
-// authenticated requests it cannot account for.
+// probes clean; a closed file-backed one never does. Readiness endpoints call
+// this so a service whose audit trail has stopped recording is pulled from
+// rotation instead of serving authenticated requests it cannot account for.
 func (l *Log) Probe() error {
 	l.mu.RLock()
 	appendErr, file, path := l.appendErr, l.file, l.path
@@ -213,8 +222,11 @@ func (l *Log) Probe() error {
 	if appendErr != nil {
 		return fmt.Errorf("audit: last append failed: %w", appendErr)
 	}
-	if file == nil {
+	if path == "" {
 		return nil
+	}
+	if file == nil {
+		return fmt.Errorf("audit: probe: %w", os.ErrClosed)
 	}
 	probe := path + ".probe.tmp"
 	if err := os.WriteFile(probe, []byte("ok"), 0o600); err != nil {
@@ -225,6 +237,13 @@ func (l *Log) Probe() error {
 		return fmt.Errorf("audit: probe cleanup: %w", err)
 	}
 	return nil
+}
+
+// AppendErrors returns how many Append calls have failed since Open.
+func (l *Log) AppendErrors() int64 {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return l.appendErrs
 }
 
 // Len returns the number of records in the chain.
@@ -263,8 +282,8 @@ func (l *Log) Snapshot(actor, action string) []Record {
 	return out
 }
 
-// Close syncs and releases the chain file. The log must not be appended to
-// afterwards.
+// Close syncs and releases the chain file. A later Append on a file-backed
+// log fails with os.ErrClosed.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

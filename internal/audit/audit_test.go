@@ -47,7 +47,9 @@ func TestChainAppendAndVerify(t *testing.T) {
 }
 
 // TestChainSurvivesReopen: a file-backed chain reloads intact and appends
-// continue the sequence.
+// continue the sequence. After Close the probe reports the closed file, and
+// an append fails and is counted instead of landing in memory only, where
+// the next Open would never see it.
 func TestChainSurvivesReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "audit.log")
 	l, err := Open(path)
@@ -62,6 +64,15 @@ func TestChainSurvivesReopen(t *testing.T) {
 	head := l.HeadHash()
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if err := l.Probe(); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("probe after Close = %v, want os.ErrClosed", err)
+	}
+	if _, err := l.Append(Record{Actor: "late", Action: "x"}); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("append after Close = %v, want os.ErrClosed", err)
+	}
+	if l.Len() != 3 || l.AppendErrors() != 1 {
+		t.Fatalf("after a closed append: Len %d, AppendErrors %d, want 3 and 1", l.Len(), l.AppendErrors())
 	}
 
 	l2, err := Open(path)
@@ -330,6 +341,9 @@ func TestProbeAppendability(t *testing.T) {
 	}
 	if l.Len() != n {
 		t.Fatalf("failed append changed Len: %d -> %d", n, l.Len())
+	}
+	if l.AppendErrors() != 1 {
+		t.Fatalf("AppendErrors = %d after one failed append, want 1", l.AppendErrors())
 	}
 	if err := l.Probe(); err == nil {
 		t.Fatal("probe stayed green after a failed append")

@@ -27,10 +27,8 @@ type Benchmark struct {
 	F    func(b *testing.B)
 }
 
-// Benchmarks returns the registered hot-path workloads, in run order. These
-// mirror the corresponding testing benchmarks in bench_test.go; the harness
-// duplicates the bodies (rather than importing the test file) so a plain
-// binary can run them.
+// Benchmarks returns the registered hot-path workloads, in run order. The
+// root package's BenchmarkHarness runs the same set under go test -bench.
 func Benchmarks() []Benchmark {
 	return []Benchmark{
 		{Name: "CloudAnalyze/serial", F: benchCloudAnalyze(1)},
@@ -49,9 +47,8 @@ func Benchmarks() []Benchmark {
 }
 
 // acquisition300 lazily builds the deterministic 8-carrier 300 s capture the
-// cloud-pipeline workloads share (the same capture bench_test.go uses), so
-// its multi-second setup cost is paid once per process, outside every
-// measured region.
+// cloud-pipeline workloads share, so its multi-second setup cost is paid once
+// per process, outside every measured region.
 var acquisition300 = sync.OnceValues(func() (lockin.Acquisition, error) {
 	s := sensor.NewDefault()
 	s.Loss = microfluidic.LossModel{Disabled: true}

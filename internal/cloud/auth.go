@@ -107,14 +107,17 @@ func (s *Service) authorize(w http.ResponseWriter, r *http.Request, a auth.Actio
 }
 
 // auditEvent appends one record to the audit trail (no-op without one).
-// There is no HTTP caller to hand an append error to — the request already
-// succeeded or failed on its own terms — so failures are surfaced through
-// the audit_journal_errors counter, mirroring the job-journal discipline.
+// There is no caller to hand an append error to — the request already
+// succeeded or failed on its own terms — so the log counts the failure
+// itself, and Snapshot reports it as audit_journal_errors. It never takes
+// s.mu, so store events fired inside persist calls that hold it may audit
+// too; they and the lease reaper pass a Principal whose Subject is their
+// actor name.
 func (s *Service) auditEvent(p auth.Principal, action, object, outcome, detail string) {
 	if s.auditLog == nil {
 		return
 	}
-	_, err := s.auditLog.Append(audit.Record{
+	_, _ = s.auditLog.Append(audit.Record{
 		Actor:   p.ActorName(),
 		KeyID:   p.KeyID,
 		Role:    string(p.Role),
@@ -123,11 +126,6 @@ func (s *Service) auditEvent(p auth.Principal, action, object, outcome, detail s
 		Outcome: outcome,
 		Detail:  detail,
 	})
-	if err != nil {
-		s.mu.Lock()
-		s.metrics.AuditJournalErrors++
-		s.mu.Unlock()
-	}
 }
 
 // scopedCaptureKey namespaces an idempotency key by its tenant subject: the

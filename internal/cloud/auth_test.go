@@ -9,8 +9,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"medsen/internal/audit"
 	"medsen/internal/auth"
@@ -704,6 +706,78 @@ func TestAuthServiceMetrics(t *testing.T) {
 		if _, ok := wire[field]; !ok {
 			t.Fatalf("/metrics lacks %q: %v", field, wire)
 		}
+	}
+}
+
+// TestAuditJournalErrorsCountsEachGap runs a service over an audit log
+// whose file is closed, so every append fails. A store salvage at startup, a
+// denied request and a reaper reclaim each leave one gap in the trail, and
+// each must raise audit_journal_errors by exactly one whichever path
+// audited it.
+func TestAuditJournalErrorsCountsEachGap(t *testing.T) {
+	stateDir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(stateDir, "an-1.json"), []byte("{broken"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	ks, err := auth.OpenKeystore(nil, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, clinicKey, err := ks.Issue(auth.RoleClinic, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, workerKey, err := ks.Issue(auth.RoleWorker, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, err := audit.Open(filepath.Join(t.TempDir(), "audit.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A one-hour TTL keeps the background reaper from ticking during the
+	// test; the reclaim below is driven by hand on a pinned clock.
+	svc, ts, _ := newLeaseServer(t, ServiceConfig{
+		StateDir: stateDir, Keystore: ks, Audit: log, LeaseTTL: time.Hour,
+	})
+	gaps := func() int64 { return svc.Snapshot().AuditJournalErrors }
+	if m := svc.Snapshot(); m.StoreSalvaged != 1 || m.AuditJournalErrors != 1 {
+		t.Fatalf("after the startup salvage: StoreSalvaged=%d AuditJournalErrors=%d, want 1/1",
+			m.StoreSalvaged, m.AuditJournalErrors)
+	}
+
+	resp, err := http.Get(ts.URL + "/api/v1/analyses")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnauthorized || gaps() != 2 {
+		t.Fatalf("denied request: status %d, AuditJournalErrors=%d, want 401 and 2", resp.StatusCode, gaps())
+	}
+
+	ctx := context.Background()
+	advance := pinClock(svc)
+	_, payload := testCapture(t, 321, 2)
+	clinic := &Client{BaseURL: ts.URL, APIKey: clinicKey}
+	if _, err := clinic.SubmitCompressedAsync(ctx, payload); err != nil {
+		t.Fatal(err)
+	}
+	worker := &Client{BaseURL: ts.URL, APIKey: workerKey}
+	if g, err := worker.AcquireJob(ctx, "w1"); err != nil || !g.Granted {
+		t.Fatalf("acquire = %+v, %v", g, err)
+	}
+	advance(2 * time.Hour)
+	before := gaps()
+	svc.reapLeases()
+	if m := svc.Snapshot(); m.JobsReclaimed != 1 || m.AuditJournalErrors != before+1 {
+		t.Fatalf("reaper reclaim: JobsReclaimed=%d AuditJournalErrors=%d, want 1 and %d",
+			m.JobsReclaimed, m.AuditJournalErrors, before+1)
+	}
+	if log.Len() != 0 {
+		t.Fatalf("closed log holds %d records", log.Len())
 	}
 }
 

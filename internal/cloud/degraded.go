@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"medsen/internal/audit"
+	"medsen/internal/auth"
 )
 
 // defaultStoreRecoveryInterval is how often a degraded service probes the
@@ -37,7 +38,7 @@ const storeActor = "store"
 
 // noteStoreWrite observes the outcome of one durable write: every success,
 // and the failures of required writes (persistPut). Often called with s.mu
-// held, so it must never take s.mu (see auditStoreEvent).
+// held, so it must never take s.mu.
 func (s *Service) noteStoreWrite(err error) {
 	if err == nil {
 		if s.degraded.Load() {
@@ -66,7 +67,7 @@ func (s *Service) enterDegraded(cause error) {
 	s.deg.reason = cause.Error()
 	s.degraded.Store(true)
 	s.deg.mu.Unlock()
-	s.auditStoreEvent("store.degraded", "store", cause.Error())
+	s.auditEvent(auth.Principal{Subject: storeActor}, "store.degraded", "store", audit.OutcomeOK, cause.Error())
 }
 
 // exitDegraded returns the service to read-write.
@@ -81,7 +82,7 @@ func (s *Service) exitDegraded(how string) {
 	s.deg.reason = ""
 	s.degraded.Store(false)
 	s.deg.mu.Unlock()
-	s.auditStoreEvent("store.recovered", "store",
+	s.auditEvent(auth.Principal{Subject: storeActor}, "store.recovered", "store", audit.OutcomeOK,
 		how+" after "+time.Since(since).Round(time.Millisecond).String())
 }
 
@@ -117,25 +118,6 @@ func (s *Service) admitMutation(w http.ResponseWriter) bool {
 // degradedRetryAfter is the client backoff hint on degraded 503s: long
 // enough to outlast a recovery-probe cycle.
 const degradedRetryAfter = 5 * time.Second
-
-// auditStoreEvent records a store lifecycle event. Unlike auditReaperEvents
-// it is safe to call with s.mu held: append failures are counted in the
-// auditErrs atomic (folded into AuditJournalErrors by Snapshot) instead of
-// locking s.mu for the metrics field.
-func (s *Service) auditStoreEvent(action, object, detail string) {
-	if s.auditLog == nil {
-		return
-	}
-	if _, err := s.auditLog.Append(audit.Record{
-		Actor:   storeActor,
-		Action:  action,
-		Object:  object,
-		Outcome: audit.OutcomeOK,
-		Detail:  detail,
-	}); err != nil {
-		s.auditErrs.Add(1)
-	}
-}
 
 // startStoreRecovery launches the recovery prober: while the service is
 // degraded it probes the store every storeRecovery interval and heals the

@@ -7,16 +7,19 @@ package cloud
 // scraper gets the text exposition format either explicitly
 // (?format=prometheus) or by content negotiation on its Accept header.
 //
-// Naming scheme (see DESIGN.md §7): every family carries the medsen_ prefix,
-// monotonic counters end in _total, gauges are bare nouns, and durations are
-// converted to base seconds (queue_wait_ms → medsen_queue_wait_seconds).
-// The family list below is pinned by TestPrometheusMetricNamesArePinned —
-// renaming a metric is a deliberate, test-visible act, because a silent
-// rename breaks every dashboard and alert built on the old name.
+// Naming scheme (see DESIGN.md §7): every family is medsen_ + the field's
+// JSON name, counters end in _total, gauges are bare nouns, and a _ms
+// duration is converted to base seconds (queue_wait_ms →
+// medsen_queue_wait_seconds). The families are pinned by
+// TestPrometheusMetricNamesArePinned — renaming a metric is a deliberate,
+// test-visible act, because a silent rename breaks every dashboard and alert
+// built on the old name.
 
 import (
+	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 
 	"medsen/internal/promexp"
@@ -28,53 +31,28 @@ func (s *Service) WritePrometheus(w io.Writer) error {
 	return writeMetricsProm(w, s.Snapshot())
 }
 
-// writeMetricsProm renders one Metrics snapshot. Split from WritePrometheus
-// so the exporter unit tests can feed a fully populated snapshot without
-// driving the whole service.
+// writeMetricsProm renders one Metrics snapshot, one family per field in
+// declaration order. Split from WritePrometheus so the exporter unit tests
+// can feed a fully populated snapshot without driving the whole service.
 func writeMetricsProm(w io.Writer, m Metrics) error {
 	pw := promexp.NewWriter(w)
-
-	pw.Counter("medsen_uploads_total", "Captures accepted and stored (sync and async).", float64(m.Uploads))
-	pw.Counter("medsen_upload_errors_total", "Uploads that failed decode, analysis, or storage.", float64(m.UploadErrors))
-	pw.Counter("medsen_authentications_total", "Cyto-coded authentication attempts.", float64(m.Authentications))
-	pw.Counter("medsen_auth_accepted_total", "Authentication attempts that matched an enrolled identifier.", float64(m.AuthAccepted))
-
-	pw.Counter("medsen_jobs_enqueued_total", "Async jobs accepted onto the queue.", float64(m.JobsEnqueued))
-	pw.Counter("medsen_jobs_rejected_total", "Async submissions bounced by queue-depth backpressure.", float64(m.JobsRejected))
-	pw.Counter("medsen_jobs_completed_total", "Async jobs that reached done.", float64(m.JobsCompleted))
-	pw.Counter("medsen_jobs_failed_total", "Async jobs that reached failed.", float64(m.JobsFailed))
-	pw.Counter("medsen_jobs_evicted_total", "Terminal job records dropped by retention.", float64(m.JobsEvicted))
-	pw.Counter("medsen_jobs_recovered_total", "Journaled jobs re-enqueued at startup.", float64(m.JobsRecovered))
-	pw.Counter("medsen_job_journal_errors_total", "Mid-run job journal writes that failed.", float64(m.JobJournalErrors))
-	pw.Counter("medsen_job_evict_errors_total", "Document deletes that failed and await the next sweep's retry.", float64(m.JobEvictErrors))
-	pw.Counter("medsen_store_salvaged_total", "Corrupt documents quarantined at load.", float64(m.StoreSalvaged))
-	pw.Counter("medsen_lease_expirations_total", "Worker leases that expired without a heartbeat.", float64(m.LeaseExpirations))
-	pw.Counter("medsen_jobs_reclaimed_total", "Expired-lease jobs re-enqueued by the reaper.", float64(m.JobsReclaimed))
-	pw.Counter("medsen_jobs_poisoned_total", "Jobs quarantined after exhausting their attempt budget.", float64(m.JobsPoisoned))
-
-	pw.Counter("medsen_rate_limited_total", "Submissions bounced by the per-client rate limiter.", float64(m.RateLimited))
-	pw.Counter("medsen_shed_total", "Submissions shed by the queue-wait estimator.", float64(m.Shed))
-	pw.Counter("medsen_dedup_hits_total", "Duplicate submissions answered from the idempotency index.", float64(m.DedupHits))
-	pw.Counter("medsen_dedup_journal_errors_total", "Idempotency index journal writes that failed.", float64(m.DedupJournalErrors))
-
-	pw.Counter("medsen_auth_denied_total", "Requests refused for missing or bad credentials (401).", float64(m.AuthDenied))
-	pw.Counter("medsen_permission_denied_total", "Requests refused by RBAC (403).", float64(m.PermissionDenied))
-	pw.Counter("medsen_audit_journal_errors_total", "Audit-trail appends that failed.", float64(m.AuditJournalErrors))
-
-	pw.Counter("medsen_batch_requests_total", "Batch submissions admitted past whole-batch validation.", float64(m.BatchRequests))
-	pw.Counter("medsen_batch_items_total", "Items carried by admitted batch submissions.", float64(m.BatchItems))
-	pw.Counter("medsen_batch_item_errors_total", "Items that failed inside an admitted batch.", float64(m.BatchItemErrors))
-	pw.Counter("medsen_batch_rejected_total", "Whole batches rejected before any item ran.", float64(m.BatchRejected))
-
-	pw.Gauge("medsen_stored_analyses", "Analyses currently stored.", float64(m.StoredAnalyses))
-	pw.Gauge("medsen_enrolled_users", "Identifiers in the enrollment registry.", float64(m.EnrolledUsers))
-	pw.Gauge("medsen_dedup_entries", "Capture keys in the idempotency index.", float64(m.DedupEntries))
-	pw.Gauge("medsen_queue_depth", "Async jobs waiting for a worker.", float64(m.QueueDepth))
-	pw.Gauge("medsen_queue_wait_seconds", "Estimated queue wait for a newly enqueued job.", float64(m.QueueWaitMS)/1e3)
-	pw.Gauge("medsen_audit_records", "Records in the audit chain.", float64(m.AuditRecords))
-	pw.Gauge("medsen_workers_active", "Worker daemons seen on the workqueue API within two lease TTLs.", float64(m.WorkersActive))
-	pw.Gauge("medsen_store_degraded", "1 while the service is read-only because durable writes are failing.", float64(m.StoreDegraded))
-
+	v := reflect.ValueOf(m)
+	for i := range v.NumField() {
+		f := v.Type().Field(i)
+		name, value := "medsen_"+f.Tag.Get("json"), float64(v.Field(i).Int())
+		if base, ok := strings.CutSuffix(name, "_ms"); ok {
+			name, value = base+"_seconds", value/1e3
+		}
+		help := f.Tag.Get("help")
+		switch kind := f.Tag.Get("metric"); kind {
+		case promexp.TypeCounter:
+			pw.Counter(name+"_total", help, value)
+		case promexp.TypeGauge:
+			pw.Gauge(name, help, value)
+		default:
+			return fmt.Errorf("cloud: Metrics.%s has metric kind %q, want counter or gauge", f.Name, kind)
+		}
+	}
 	return pw.Err()
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -82,54 +83,59 @@ func TestPrometheusMetricNamesArePinned(t *testing.T) {
 	}
 }
 
-// TestPrometheusValuesMatchSnapshot renders a fully populated snapshot and
-// cross-checks a sample of counter and gauge values, including the ms →
-// seconds conversion on the queue-wait gauge.
+// TestPrometheusValuesMatchSnapshot renders a snapshot whose every field
+// holds a distinct value and finds each value in that field's own family
+// (÷1000 in medsen_queue_wait_seconds), so no family reads another field.
+// It also checks that Sub subtracts exactly the fields exposed as counters
+// and keeps the gauges' later value.
 func TestPrometheusValuesMatchSnapshot(t *testing.T) {
-	m := Metrics{
-		Uploads: 7, UploadErrors: 1, Authentications: 3, AuthAccepted: 2,
-		JobsEnqueued: 11, JobsRejected: 4, JobsCompleted: 9, JobsFailed: 2,
-		JobsEvicted: 5, JobsRecovered: 1, JobJournalErrors: 1,
-		JobEvictErrors: 3, StoreSalvaged: 2,
-		LeaseExpirations: 4, JobsReclaimed: 3, JobsPoisoned: 2,
-		RateLimited: 13, Shed: 6, DedupHits: 8, DedupJournalErrors: 1,
-		AuthDenied: 2, PermissionDenied: 1, AuditJournalErrors: 1,
-		StoredAnalyses: 42, EnrolledUsers: 5, DedupEntries: 17,
-		QueueDepth: 3, QueueWaitMS: 1500, AuditRecords: 99, WorkersActive: 2,
-		StoreDegraded: 1,
+	var before, after Metrics
+	bv, av := reflect.ValueOf(&before).Elem(), reflect.ValueOf(&after).Elem()
+	for i := range av.NumField() {
+		bv.Field(i).SetInt(int64(i + 1))
+		av.Field(i).SetInt(int64(1000*(i+1) + 500))
 	}
 	var buf bytes.Buffer
-	if err := writeMetricsProm(&buf, m); err != nil {
+	if err := writeMetricsProm(&buf, after); err != nil {
 		t.Fatalf("writeMetricsProm: %v", err)
 	}
 	fams, err := promexp.Parse(buf.Bytes())
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	checks := map[string]float64{
-		"medsen_uploads_total":           7,
-		"medsen_rate_limited_total":      13,
-		"medsen_shed_total":              6,
-		"medsen_dedup_hits_total":        8,
-		"medsen_queue_depth":             3,
-		"medsen_queue_wait_seconds":      1.5,
-		"medsen_audit_records":           99,
-		"medsen_jobs_reclaimed_total":    3,
-		"medsen_jobs_poisoned_total":     2,
-		"medsen_lease_expirations_total": 4,
-		"medsen_workers_active":          2,
-		"medsen_job_evict_errors_total":  3,
-		"medsen_store_salvaged_total":    2,
-		"medsen_store_degraded":          1,
+	if len(fams) != av.NumField() {
+		t.Fatalf("%d families for %d fields", len(fams), av.NumField())
 	}
-	for name, wantV := range checks {
+	diff := reflect.ValueOf(after.Sub(before))
+	kinds := map[string]int{}
+	for i := range av.NumField() {
+		field := av.Type().Field(i)
+		name, want := "medsen_"+field.Tag.Get("json"), float64(av.Field(i).Int())
+		if field.Name == "QueueWaitMS" {
+			name, want = "medsen_queue_wait_seconds", want/1e3
+		}
 		f := fams[name]
+		if f == nil {
+			f = fams[name+"_total"]
+		}
 		if f == nil || len(f.Samples) != 1 {
-			t.Fatalf("family %s = %+v", name, f)
+			t.Errorf("%s: no single-sample family %s or %s_total", field.Name, name, name)
+			continue
 		}
-		if f.Samples[0].Value != wantV {
-			t.Errorf("%s = %v, want %v", name, f.Samples[0].Value, wantV)
+		if got := f.Samples[0].Value; got != want {
+			t.Errorf("%s: family value %v, want %v", field.Name, got, want)
 		}
+		kinds[f.Type]++
+		wantDiff := av.Field(i).Int()
+		if f.Type == promexp.TypeCounter {
+			wantDiff -= bv.Field(i).Int()
+		}
+		if got := diff.Field(i).Int(); got != wantDiff {
+			t.Errorf("Sub: %s (%s) = %d, want %d", field.Name, f.Type, got, wantDiff)
+		}
+	}
+	if kinds[promexp.TypeCounter] != 27 || kinds[promexp.TypeGauge] != 8 {
+		t.Errorf("families by type = %v, want 27 counters and 8 gauges", kinds)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"reflect"
 	"runtime"
 	"sort"
 	"strconv"
@@ -40,12 +41,8 @@ type Service struct {
 	model        *classify.Model
 	registry     *beads.Registry
 	flowUlPerMin float64
-	stateDir     string
 	workers      int
 	queueDepth   int
-	// fs is the state-directory filesystem seam (OSFS in production,
-	// faultinject.FaultyFS in chaos tests).
-	fs faultinject.FS
 	// store is the durable document backend (storage.go): a DiskStore over
 	// the state directory, a MemStore, or nil for a fully ephemeral service.
 	store Store
@@ -121,17 +118,14 @@ type Service struct {
 	// Read-only degraded mode (degraded.go). degraded is the hot-path flag
 	// (handlers only load it); deg holds the since/reason detail under its
 	// own small mutex — never s.mu, because degraded-mode transitions happen
-	// inside persist calls that already hold s.mu. auditErrs counts audit
-	// appends that failed during those transitions (folded into
-	// AuditJournalErrors at snapshot time, again because s.mu is taken).
-	// storeRecovery is the write-probe interval.
+	// inside persist calls that already hold s.mu. storeRecovery is the
+	// write-probe interval.
 	degraded atomic.Bool
 	deg      struct {
 		mu     sync.Mutex
 		since  time.Time
 		reason string
 	}
-	auditErrs     atomic.Int64
 	storeRecovery time.Duration
 	// pendingDeletes remembers documents whose Delete failed, for re-attempt
 	// on the next retention sweep (store.go deleteDocLocked).
@@ -307,9 +301,6 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	if cfg.MaxTerminalJobs == 0 {
 		cfg.MaxTerminalJobs = defaultMaxTerminalJobs
 	}
-	if cfg.FS == nil {
-		cfg.FS = faultinject.OSFS{}
-	}
 	if cfg.Store == nil && cfg.StateDir != "" {
 		store, err := NewDiskStore(DiskStoreConfig{Dir: cfg.StateDir, FS: cfg.FS})
 		if err != nil {
@@ -325,10 +316,8 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 		model:           cfg.Model,
 		registry:        cfg.Registry,
 		flowUlPerMin:    cfg.FlowUlPerMin,
-		stateDir:        cfg.StateDir,
 		workers:         cfg.Workers,
 		queueDepth:      cfg.QueueDepth,
-		fs:              cfg.FS,
 		store:           cfg.Store,
 		strictLoad:      cfg.StrictLoad,
 		storeRecovery:   cfg.StoreRecoveryInterval,
@@ -368,11 +357,11 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 		return nil, err
 	}
 	// Settle leases recovered from the journal now that the dedup index is
-	// loaded, exactly as the reaper would: a committed lease resolves to
-	// done, an expired one is reclaimed (or quarantined) onto the queue
-	// behind the recovered jobs, a still-valid one stays leased for its
-	// holder to finish.
-	s.auditReaperEvents(s.reclaimLeasesLocked())
+	// loaded, with one reaper tick: a committed lease resolves to done, an
+	// expired one is reclaimed (or quarantined) onto the queue behind the
+	// recovered jobs, a still-valid one stays leased for its holder to
+	// finish.
+	s.reapLeases()
 	if !s.externalWorkers {
 		s.startJobWorkers()
 	}
@@ -815,73 +804,55 @@ func (s *Service) handleUserAnalyses(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string][]string{"analysis_ids": ids})
 }
 
-// Metrics are the service's lifetime counters, exposed at GET /metrics for
-// operations visibility.
+// Metrics are the service's lifetime counters and point-in-time gauges,
+// exposed at GET /metrics. Each field declares one metric: its JSON name, its
+// kind (metric:"counter" or metric:"gauge") and its Prometheus HELP text.
+// WritePrometheus derives each family name from them (DESIGN.md §7) and Sub
+// subtracts the counters, so no other code lists the metrics.
 type Metrics struct {
-	Uploads         int64 `json:"uploads"`
-	UploadErrors    int64 `json:"upload_errors"`
-	Authentications int64 `json:"authentications"`
-	AuthAccepted    int64 `json:"auth_accepted"`
-	StoredAnalyses  int   `json:"stored_analyses"`
-	EnrolledUsers   int   `json:"enrolled_users"`
-	// Async job counters.
-	JobsEnqueued  int64 `json:"jobs_enqueued"`
-	JobsRejected  int64 `json:"jobs_rejected"`
-	JobsCompleted int64 `json:"jobs_completed"`
-	JobsFailed    int64 `json:"jobs_failed"`
-	// JobsEvicted counts terminal job records dropped by retention;
-	// JobsRecovered counts journaled jobs re-enqueued at startup;
-	// JobJournalErrors counts mid-run journal writes that failed (the job
-	// still completes, but a crash would rerun it); JobEvictErrors counts
-	// document deletes that failed and were queued for the next sweep's
-	// retry; StoreSalvaged counts corrupt documents quarantined at load.
-	JobsEvicted      int64 `json:"jobs_evicted"`
-	JobsRecovered    int64 `json:"jobs_recovered"`
-	JobJournalErrors int64 `json:"job_journal_errors"`
-	JobEvictErrors   int64 `json:"job_evict_errors"`
-	StoreSalvaged    int64 `json:"store_salvaged"`
-	// Lease-queue counters (workqueue.go): leases that expired without a
-	// heartbeat, expired jobs re-enqueued by the reaper, and jobs
-	// quarantined after exhausting their attempt budget.
-	LeaseExpirations int64 `json:"lease_expirations"`
-	JobsReclaimed    int64 `json:"jobs_reclaimed"`
-	JobsPoisoned     int64 `json:"jobs_poisoned"`
-	// Overload-protection and idempotency counters: submissions bounced by
-	// the per-client rate limiter, submissions shed by the queue-wait
-	// estimator, duplicates answered from the idempotency index, and index
-	// journal writes that failed (best-effort: that capture may re-run once
-	// after a crash).
-	RateLimited        int64 `json:"rate_limited"`
-	Shed               int64 `json:"shed"`
-	DedupHits          int64 `json:"dedup_hits"`
-	DedupJournalErrors int64 `json:"dedup_journal_errors"`
-	// Auth and audit counters: requests refused for missing/bad credentials
-	// (401), requests refused by RBAC (403), and audit-trail appends that
-	// failed (the request still completed; the trail has a gap).
-	AuthDenied         int64 `json:"auth_denied"`
-	PermissionDenied   int64 `json:"permission_denied"`
-	AuditJournalErrors int64 `json:"audit_journal_errors"`
-	// Batch-submission counters: admitted batch requests, items carried by
-	// them, items that failed inside an admitted batch, and whole batches
-	// rejected before any item ran (malformed, oversized, mixed-tenant,
-	// rate-limited or shed).
-	BatchRequests   int64 `json:"batch_requests"`
-	BatchItems      int64 `json:"batch_items"`
-	BatchItemErrors int64 `json:"batch_item_errors"`
-	BatchRejected   int64 `json:"batch_rejected"`
-	// Point-in-time gauges: idempotency index size, jobs waiting for a
-	// worker, the shedder's current queue-wait estimate, and the audit
-	// chain length.
-	DedupEntries int   `json:"dedup_entries"`
-	QueueDepth   int   `json:"queue_depth"`
-	QueueWaitMS  int64 `json:"queue_wait_ms"`
-	AuditRecords int   `json:"audit_records"`
-	// WorkersActive counts distinct worker daemons seen on the workqueue
-	// API within the last two lease TTLs.
-	WorkersActive int `json:"workers_active"`
-	// StoreDegraded is 1 while the service is in read-only degraded mode
-	// (durable writes failing), 0 otherwise.
-	StoreDegraded int `json:"store_degraded"`
+	Uploads         int64 `json:"uploads" metric:"counter" help:"Captures accepted and stored (sync and async)."`
+	UploadErrors    int64 `json:"upload_errors" metric:"counter" help:"Uploads that failed decode, analysis, or storage."`
+	Authentications int64 `json:"authentications" metric:"counter" help:"Cyto-coded authentication attempts."`
+	AuthAccepted    int64 `json:"auth_accepted" metric:"counter" help:"Authentication attempts that matched an enrolled identifier."`
+	StoredAnalyses  int   `json:"stored_analyses" metric:"gauge" help:"Analyses currently stored."`
+	EnrolledUsers   int   `json:"enrolled_users" metric:"gauge" help:"Identifiers in the enrollment registry."`
+	JobsEnqueued    int64 `json:"jobs_enqueued" metric:"counter" help:"Async jobs accepted onto the queue."`
+	JobsRejected    int64 `json:"jobs_rejected" metric:"counter" help:"Async submissions bounced by queue-depth backpressure."`
+	JobsCompleted   int64 `json:"jobs_completed" metric:"counter" help:"Async jobs that reached done."`
+	JobsFailed      int64 `json:"jobs_failed" metric:"counter" help:"Async jobs that reached failed."`
+	JobsEvicted     int64 `json:"jobs_evicted" metric:"counter" help:"Terminal job records dropped by retention."`
+	JobsRecovered   int64 `json:"jobs_recovered" metric:"counter" help:"Journaled jobs re-enqueued at startup."`
+	// A failed mid-run journal write does not fail the job, but a crash
+	// would rerun it.
+	JobJournalErrors int64 `json:"job_journal_errors" metric:"counter" help:"Mid-run job journal writes that failed."`
+	JobEvictErrors   int64 `json:"job_evict_errors" metric:"counter" help:"Document deletes that failed and await the next sweep's retry."`
+	StoreSalvaged    int64 `json:"store_salvaged" metric:"counter" help:"Corrupt documents quarantined at load."`
+	LeaseExpirations int64 `json:"lease_expirations" metric:"counter" help:"Worker leases that expired without a heartbeat."`
+	JobsReclaimed    int64 `json:"jobs_reclaimed" metric:"counter" help:"Expired-lease jobs re-enqueued by the reaper."`
+	JobsPoisoned     int64 `json:"jobs_poisoned" metric:"counter" help:"Jobs quarantined after exhausting their attempt budget."`
+	RateLimited      int64 `json:"rate_limited" metric:"counter" help:"Submissions bounced by the per-client rate limiter."`
+	Shed             int64 `json:"shed" metric:"counter" help:"Submissions shed by the queue-wait estimator."`
+	DedupHits        int64 `json:"dedup_hits" metric:"counter" help:"Duplicate submissions answered from the idempotency index."`
+	// The index journal is best-effort: after a failed write that capture
+	// may re-run once after a crash.
+	DedupJournalErrors int64 `json:"dedup_journal_errors" metric:"counter" help:"Idempotency index journal writes that failed."`
+	AuthDenied         int64 `json:"auth_denied" metric:"counter" help:"Requests refused for missing or bad credentials (401)."`
+	PermissionDenied   int64 `json:"permission_denied" metric:"counter" help:"Requests refused by RBAC (403)."`
+	// The audit log counts its own failed appends (Snapshot reads them); the
+	// request still completed, and the trail has a gap.
+	AuditJournalErrors int64 `json:"audit_journal_errors" metric:"counter" help:"Audit-trail appends that failed."`
+	BatchRequests      int64 `json:"batch_requests" metric:"counter" help:"Batch submissions admitted past whole-batch validation."`
+	BatchItems         int64 `json:"batch_items" metric:"counter" help:"Items carried by admitted batch submissions."`
+	BatchItemErrors    int64 `json:"batch_item_errors" metric:"counter" help:"Items that failed inside an admitted batch."`
+	// A batch is rejected whole when it is malformed, oversized,
+	// mixed-tenant, rate-limited or shed.
+	BatchRejected int64 `json:"batch_rejected" metric:"counter" help:"Whole batches rejected before any item ran."`
+	DedupEntries  int   `json:"dedup_entries" metric:"gauge" help:"Capture keys in the idempotency index."`
+	QueueDepth    int   `json:"queue_depth" metric:"gauge" help:"Async jobs waiting for a worker."`
+	QueueWaitMS   int64 `json:"queue_wait_ms" metric:"gauge" help:"Estimated queue wait for a newly enqueued job."`
+	AuditRecords  int   `json:"audit_records" metric:"gauge" help:"Records in the audit chain."`
+	WorkersActive int   `json:"workers_active" metric:"gauge" help:"Worker daemons seen on the workqueue API within two lease TTLs."`
+	StoreDegraded int   `json:"store_degraded" metric:"gauge" help:"1 while the service is read-only because durable writes are failing."`
 }
 
 // Snapshot returns the current counters.
@@ -898,11 +869,22 @@ func (s *Service) Snapshot() Metrics {
 	if s.degraded.Load() {
 		m.StoreDegraded = 1
 	}
-	// Degraded-mode transitions audit without s.mu (they fire inside persist
-	// calls already holding it); their append failures are folded in here.
-	m.AuditJournalErrors += s.auditErrs.Load()
 	if s.auditLog != nil {
 		m.AuditRecords = s.auditLog.Len()
+		m.AuditJournalErrors = s.auditLog.AppendErrors()
+	}
+	return m
+}
+
+// Sub returns what happened between two snapshots: m − before for every
+// counter, m's own value for every gauge.
+func (m Metrics) Sub(before Metrics) Metrics {
+	d := reflect.ValueOf(&m).Elem()
+	b := reflect.ValueOf(before)
+	for i := range d.NumField() {
+		if d.Type().Field(i).Tag.Get("metric") == promexp.TypeCounter {
+			d.Field(i).SetInt(d.Field(i).Int() - b.Field(i).Int())
+		}
 	}
 	return m
 }

@@ -8,6 +8,9 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"medsen/internal/audit"
+	"medsen/internal/auth"
 )
 
 // Persistence for the analysis store and the async job journal. The paper's
@@ -93,7 +96,7 @@ func (s *Service) salvageDoc(d Document, reason error) error {
 		return err
 	}
 	s.metrics.StoreSalvaged++
-	s.auditStoreEvent("store.salvage", d.Name, reason.Error())
+	s.auditEvent(auth.Principal{Subject: storeActor}, "store.salvage", d.Name, audit.OutcomeOK, reason.Error())
 	return nil
 }
 

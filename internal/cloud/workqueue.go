@@ -339,7 +339,8 @@ func (s *Service) handleFail(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, job)
 }
 
-// workerReaper is the attempt-history attribution of reaper decisions.
+// workerReaper is the attempt-history and audit attribution of reaper
+// decisions.
 const workerReaper = "workqueue-reaper"
 
 // startReaper launches the lease reaper, ticking a fraction of the TTL so
@@ -378,7 +379,9 @@ func (s *Service) reapLeases() {
 		}
 	}
 	s.mu.Unlock()
-	s.auditReaperEvents(events)
+	for _, e := range events {
+		s.auditEvent(auth.Principal{Subject: workerReaper}, e.action, e.id, audit.OutcomeOK, e.detail)
+	}
 }
 
 // reaperEvent is one lease decision for the audit trail.
@@ -432,25 +435,4 @@ func (s *Service) activeWorkersLocked() int {
 		}
 	}
 	return n
-}
-
-// auditReaperEvents records reaper decisions in the audit trail under the
-// reaper's own actor name — there is no HTTP principal behind them.
-func (s *Service) auditReaperEvents(events []reaperEvent) {
-	if s.auditLog == nil {
-		return
-	}
-	for _, e := range events {
-		if _, err := s.auditLog.Append(audit.Record{
-			Actor:   workerReaper,
-			Action:  e.action,
-			Object:  e.id,
-			Outcome: audit.OutcomeOK,
-			Detail:  e.detail,
-		}); err != nil {
-			s.mu.Lock()
-			s.metrics.AuditJournalErrors++
-			s.mu.Unlock()
-		}
-	}
 }

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sort"
 	"sync"
@@ -340,7 +341,7 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 
 	if beforeErr == nil {
 		if after, err := probe.Metrics(ctx); err == nil {
-			delta := diffMetrics(before, after)
+			delta := after.Sub(before)
 			res.Server = &delta
 		}
 	}
@@ -435,53 +436,19 @@ func capturePayload(seed uint64, durationS float64) ([]byte, error) {
 	return csvio.CompressAcquisition(res.Acquisition)
 }
 
-// percentile returns the q-quantile (0 < q ≤ 1) by nearest-rank over a copy
-// of the samples; 0 when there are none.
+// percentile returns the q-quantile (0 < q ≤ 1) by nearest rank over a copy
+// of the samples: the ⌈q·n⌉-th smallest; 0 when there are none.
 func percentile(samples []time.Duration, q float64) time.Duration {
 	if len(samples) == 0 {
 		return 0
 	}
 	sorted := append([]time.Duration(nil), samples...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(q*float64(len(sorted))) - 1
+	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
 	if idx < 0 {
 		idx = 0
 	}
 	return sorted[idx]
-}
-
-// diffMetrics subtracts counter values (a − b answers "what did this run
-// cost the server"); point-in-time gauges keep their final value.
-func diffMetrics(before, after cloud.Metrics) cloud.Metrics {
-	d := after
-	d.Uploads -= before.Uploads
-	d.UploadErrors -= before.UploadErrors
-	d.Authentications -= before.Authentications
-	d.AuthAccepted -= before.AuthAccepted
-	d.JobsEnqueued -= before.JobsEnqueued
-	d.JobsRejected -= before.JobsRejected
-	d.JobsCompleted -= before.JobsCompleted
-	d.JobsFailed -= before.JobsFailed
-	d.JobsEvicted -= before.JobsEvicted
-	d.JobsRecovered -= before.JobsRecovered
-	d.JobJournalErrors -= before.JobJournalErrors
-	d.JobEvictErrors -= before.JobEvictErrors
-	d.StoreSalvaged -= before.StoreSalvaged
-	d.LeaseExpirations -= before.LeaseExpirations
-	d.JobsReclaimed -= before.JobsReclaimed
-	d.JobsPoisoned -= before.JobsPoisoned
-	d.RateLimited -= before.RateLimited
-	d.Shed -= before.Shed
-	d.DedupHits -= before.DedupHits
-	d.DedupJournalErrors -= before.DedupJournalErrors
-	d.BatchRequests -= before.BatchRequests
-	d.BatchItems -= before.BatchItems
-	d.BatchItemErrors -= before.BatchItemErrors
-	d.BatchRejected -= before.BatchRejected
-	d.AuthDenied -= before.AuthDenied
-	d.PermissionDenied -= before.PermissionDenied
-	d.AuditJournalErrors -= before.AuditJournalErrors
-	return d
 }
 
 // WritePrometheus renders the run report in the Prometheus text format —

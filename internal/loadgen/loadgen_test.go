@@ -245,14 +245,24 @@ func TestLoadgenObservesRateLimiting(t *testing.T) {
 	}
 }
 
+// TestPercentileNearestRank pins the nearest-rank definition: the q-quantile
+// of n samples is the ⌈q·n⌉-th smallest, so a fractional q·n rounds up.
 func TestPercentileNearestRank(t *testing.T) {
-	samples := []time.Duration{5, 1, 4, 2, 3} // sorted: 1..5
 	for _, tc := range []struct {
-		q    float64
-		want time.Duration
-	}{{0.5, 2}, {0.95, 4}, {1, 5}} {
-		if got := percentile(samples, tc.q); got != tc.want {
-			t.Errorf("percentile(%v) = %v, want %v", tc.q, got, tc.want)
+		samples []time.Duration
+		q       float64
+		want    time.Duration
+	}{
+		{[]time.Duration{5, 1, 4, 2, 3}, 0.5, 3},
+		{[]time.Duration{5, 1, 4, 2, 3}, 0.95, 5},
+		{[]time.Duration{5, 1, 4, 2, 3}, 0.99, 5},
+		{[]time.Duration{5, 1, 4, 2, 3}, 1, 5},
+		{[]time.Duration{30, 10, 20}, 0.5, 20},
+		{[]time.Duration{30, 10, 20}, 0.99, 30},
+		{[]time.Duration{4, 1, 3, 2}, 0.5, 2},
+	} {
+		if got := percentile(tc.samples, tc.q); got != tc.want {
+			t.Errorf("percentile(%v, %v) = %v, want %v", tc.samples, tc.q, got, tc.want)
 		}
 	}
 	if got := percentile(nil, 0.5); got != 0 {
