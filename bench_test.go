@@ -12,6 +12,7 @@ import (
 	"medsen/internal/cipher"
 	"medsen/internal/drbg"
 	"medsen/internal/experiments"
+	"medsen/internal/profile"
 	"medsen/internal/sigproc"
 )
 
@@ -86,7 +87,10 @@ func benchmarkFig14Profile(b *testing.B, phone bool) {
 	// smallest of the paper's sample sizes.
 	rng := drbg.NewFromSeed(14)
 	tr := experiments.SyntheticCaptureForBench(experiments.Fig14SampleSizes[0], rng)
-	prof := experiments.Fig14Profile(phone)
+	prof := profile.Computer()
+	if phone {
+		prof = profile.SmartphoneNexus5()
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := prof.RunPeakAnalysis(tr, sigproc.DefaultDetrendConfig(), sigproc.DefaultPeakConfig())

@@ -78,9 +78,6 @@ type Principal struct {
 // is disabled.
 func Anonymous() Principal { return Principal{anonymous: true} }
 
-// IsAnonymous reports whether this is the auth-disabled principal.
-func (p Principal) IsAnonymous() bool { return p.anonymous }
-
 // ActorName is the audit-trail identity of the principal: the subject when
 // the key carries one, else the key id, else "anonymous".
 func (p Principal) ActorName() string {

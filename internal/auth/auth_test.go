@@ -145,7 +145,7 @@ func TestKeystoreLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.KeyID != k.ID || p.Role != RoleOwner || p.Subject != "alice" || p.IsAnonymous() {
+	if p.KeyID != k.ID || p.Role != RoleOwner || p.Subject != "alice" || p.anonymous {
 		t.Fatalf("principal %+v", p)
 	}
 	if _, err := ks.Authenticate("msk_" + strings.Repeat("0", 64)); !errors.Is(err, ErrUnauthenticated) {
@@ -229,8 +229,8 @@ func TestInstallIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k1.ID != k2.ID || ks.Len() != 1 {
-		t.Fatalf("bootstrap minted a duplicate: %s vs %s (%d keys)", k1.ID, k2.ID, ks.Len())
+	if k1.ID != k2.ID || len(ks.Keys()) != 1 {
+		t.Fatalf("bootstrap minted a duplicate: %s vs %s (%d keys)", k1.ID, k2.ID, len(ks.Keys()))
 	}
 	if _, err := ks.Install("msk_bootstrap", RoleClinic, ""); err == nil {
 		t.Fatal("same secret under a different role accepted")

@@ -282,13 +282,6 @@ func (ks *Keystore) Keys() []Key {
 	return out
 }
 
-// Len returns the number of keys, revoked included.
-func (ks *Keystore) Len() int {
-	ks.mu.RLock()
-	defer ks.mu.RUnlock()
-	return len(ks.byID)
-}
-
 // HasActiveAdmin reports whether any unrevoked admin key exists — without
 // one the control plane (key issuance, the audit trail) is unreachable.
 func (ks *Keystore) HasActiveAdmin() bool {

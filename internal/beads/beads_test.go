@@ -355,3 +355,78 @@ func TestIdentifierJSONDropsZeroLevels(t *testing.T) {
 		t.Fatalf("zero level serialized: %s", data)
 	}
 }
+
+// The tests check the dictionary's shape through its enumeration; the
+// product sizes it with PasswordSpaceSize and draws words with
+// NewIdentifier.
+
+// EnumerateIdentifiers lists the alphabet's full password dictionary in a
+// stable order (every combination of per-type levels, excluding the empty
+// word) — the §V "dictionary of unique identifiers". The dictionary size is
+// PasswordSpaceSize(); callers should check it before materializing large
+// alphabets.
+func (a Alphabet) EnumerateIdentifiers() []Identifier {
+	nTypes := len(a.Types)
+	nLevels := len(a.LevelsPerUl)
+	total := 1
+	for i := 0; i < nTypes; i++ {
+		total *= nLevels + 1
+	}
+	out := make([]Identifier, 0, total-1)
+	for word := 1; word < total; word++ {
+		id := make(Identifier, nTypes)
+		w := word
+		for _, t := range a.Types {
+			lv := w % (nLevels + 1)
+			w /= nLevels + 1
+			if lv > 0 {
+				id[t] = lv
+			}
+		}
+		out = append(out, id)
+	}
+	return out
+}
+
+// MinLogSeparation returns the smallest pairwise distance between any two
+// dictionary words in measured-concentration space, in log units per bead
+// type (L∞ over types, with absent-vs-present counted as the log gap to the
+// absence decision boundary at half the lowest level). Larger is better: it
+// is the margin the measurement error must exceed to confuse two users.
+func (a Alphabet) MinLogSeparation() float64 {
+	ids := a.EnumerateIdentifiers()
+	best := math.Inf(1)
+	for i := 0; i < len(ids); i++ {
+		for j := i + 1; j < len(ids); j++ {
+			d := a.logSeparation(ids[i], ids[j])
+			if d < best {
+				best = d
+			}
+		}
+	}
+	return best
+}
+
+// logSeparation is the L∞ log-distance between two identifiers.
+func (a Alphabet) logSeparation(x, y Identifier) float64 {
+	worstType := 0.0
+	for _, t := range a.Types {
+		lx, ly := x[t], y[t]
+		if lx == ly {
+			continue
+		}
+		var d float64
+		switch {
+		case lx == 0:
+			d = math.Log(a.LevelsPerUl[ly-1] / (a.LevelsPerUl[0] / 2))
+		case ly == 0:
+			d = math.Log(a.LevelsPerUl[lx-1] / (a.LevelsPerUl[0] / 2))
+		default:
+			d = math.Abs(math.Log(a.LevelsPerUl[lx-1] / a.LevelsPerUl[ly-1]))
+		}
+		if d > worstType {
+			worstType = d
+		}
+	}
+	return worstType
+}

@@ -26,9 +26,6 @@ type Registry struct {
 // existing user's password.
 var ErrDuplicateIdentifier = errors.New("beads: identifier already enrolled")
 
-// ErrUnknownUser reports verification against an unenrolled account.
-var ErrUnknownUser = errors.New("beads: unknown user")
-
 // NewRegistry builds an empty registry over the given alphabet.
 func NewRegistry(a Alphabet) (*Registry, error) {
 	if err := a.Validate(); err != nil {
@@ -103,21 +100,6 @@ func (r *Registry) EnrollNew(userID string, rng *drbg.DRBG) (Identifier, error) 
 	return nil, errors.New("beads: password space exhausted")
 }
 
-// IdentifierOf returns the enrolled identifier for a user.
-func (r *Registry) IdentifierOf(userID string) (Identifier, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	id, ok := r.byUser[userID]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownUser, userID)
-	}
-	out := make(Identifier, len(id))
-	for t, lv := range id {
-		out[t] = lv
-	}
-	return out, nil
-}
-
 // Len returns the number of enrolled users.
 func (r *Registry) Len() int {
 	r.mu.RLock()
@@ -133,23 +115,4 @@ func (r *Registry) Authenticate(measuredPerUl map[microfluidic.Type]float64) (st
 	defer r.mu.RUnlock()
 	user, ok := r.byCode[id.String()]
 	return user, ok
-}
-
-// Verify checks a claimed user identity against the measured bead
-// concentrations.
-func (r *Registry) Verify(userID string, measuredPerUl map[microfluidic.Type]float64) (bool, error) {
-	enrolled, err := r.IdentifierOf(userID)
-	if err != nil {
-		return false, err
-	}
-	recovered := r.alphabet.RecoverIdentifier(measuredPerUl)
-	return enrolled.Equal(recovered), nil
-}
-
-// CheckIntegrity implements §V's ciphertext integrity check: the bead
-// statistics decoded from the (decrypted) analysis must reproduce the
-// identifier submitted with the sample; a mismatch means the ciphertext or
-// the analysis results were substituted or corrupted in the cloud.
-func (r *Registry) CheckIntegrity(submitted Identifier, decodedPerUl map[microfluidic.Type]float64) bool {
-	return submitted.Equal(r.alphabet.RecoverIdentifier(decodedPerUl))
 }

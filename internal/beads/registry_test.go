@@ -183,15 +183,18 @@ func TestVerify(t *testing.T) {
 	}
 }
 
+// TestCheckIntegrity pins §V's ciphertext integrity check as the controller
+// runs it: the identifier recovered from the decoded bead statistics must
+// equal the one submitted with the sample.
 func TestCheckIntegrity(t *testing.T) {
 	r := newTestRegistry(t)
 	id := Identifier{microfluidic.TypeBead780: 2}
 	good := measurementFor(t, r.Alphabet(), id)
-	if !r.CheckIntegrity(id, good) {
+	if !id.Equal(r.Alphabet().RecoverIdentifier(good)) {
 		t.Fatal("integrity check should pass for matching decode")
 	}
 	tampered := map[microfluidic.Type]float64{microfluidic.TypeBead780: 9999}
-	if r.CheckIntegrity(id, tampered) {
+	if id.Equal(r.Alphabet().RecoverIdentifier(tampered)) {
 		t.Fatal("integrity check should fail for substituted results")
 	}
 }
@@ -230,4 +233,37 @@ func TestRegistryConcurrency(t *testing.T) {
 
 func userName(i int) string {
 	return fmt.Sprintf("user-%03d", i)
+}
+
+// IdentifierOf and Verify look an enrollment up by user. The product
+// authenticates by measurement alone (Authenticate), so only the tests
+// look up a user's word.
+
+// ErrUnknownUser reports verification against an unenrolled account.
+var ErrUnknownUser = errors.New("beads: unknown user")
+
+// IdentifierOf returns the enrolled identifier for a user.
+func (r *Registry) IdentifierOf(userID string) (Identifier, error) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	id, ok := r.byUser[userID]
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrUnknownUser, userID)
+	}
+	out := make(Identifier, len(id))
+	for t, lv := range id {
+		out[t] = lv
+	}
+	return out, nil
+}
+
+// Verify checks a claimed user identity against the measured bead
+// concentrations.
+func (r *Registry) Verify(userID string, measuredPerUl map[microfluidic.Type]float64) (bool, error) {
+	enrolled, err := r.IdentifierOf(userID)
+	if err != nil {
+		return false, err
+	}
+	recovered := r.alphabet.RecoverIdentifier(measuredPerUl)
+	return enrolled.Equal(recovered), nil
 }

@@ -243,17 +243,6 @@ func generateEpoch(p Params, rng *drbg.DRBG) EpochKey {
 	return k
 }
 
-// NumActive returns the number of active electrodes in the epoch key.
-func (k EpochKey) NumActive() int {
-	n := 0
-	for _, on := range k.Active {
-		if on {
-			n++
-		}
-	}
-	return n
-}
-
 // EpochIndexAt returns the epoch index covering time t (clamped into range).
 func (s *Schedule) EpochIndexAt(tS float64) int {
 	if len(s.Epochs) == 0 {
@@ -272,16 +261,6 @@ func (s *Schedule) EpochIndexAt(tS float64) int {
 // KeyAt returns the epoch key covering time t.
 func (s *Schedule) KeyAt(tS float64) EpochKey {
 	return s.Epochs[s.EpochIndexAt(tS)]
-}
-
-// GainsAt materializes the per-electrode gain vector at time t.
-func (s *Schedule) GainsAt(tS float64) []float64 {
-	k := s.KeyAt(tS)
-	gains := make([]float64, len(k.GainLevel))
-	for i, lv := range k.GainLevel {
-		gains[i] = s.Params.GainAt(lv)
-	}
-	return gains
 }
 
 // SpeedAt materializes the flow-speed factor at time t.
@@ -399,7 +378,8 @@ func (s *Schedule) Decrypt(peaks []sigproc.Peak, arr electrode.Array) (Decrypted
 // Zero wipes the schedule's key material in place (§VI-B hygiene: "The
 // encryption keys always remain on the controller"; once an acquisition is
 // decrypted and verified, the schedule should not outlive its use). The
-// schedule is unusable afterwards.
+// controller wipes each diagnostic's schedule this way when the diagnostic
+// ends. The schedule is unusable afterwards.
 func (s *Schedule) Zero() {
 	for i := range s.Epochs {
 		for j := range s.Epochs[i].Active {

@@ -106,8 +106,14 @@ func TestGenerateScheduleShape(t *testing.T) {
 		if len(e.Active) != p.NumElectrodes || len(e.GainLevel) != p.NumElectrodes {
 			t.Fatalf("epoch %d sized wrong: %+v", i, e)
 		}
-		if e.NumActive() < p.MinActive {
-			t.Fatalf("epoch %d has %d active, want >= %d", i, e.NumActive(), p.MinActive)
+		active := 0
+		for _, on := range e.Active {
+			if on {
+				active++
+			}
+		}
+		if active < p.MinActive {
+			t.Fatalf("epoch %d has %d active, want >= %d", i, active, p.MinActive)
 		}
 		if int(e.SpeedLevel) >= p.SpeedLevels {
 			t.Fatalf("epoch %d speed level %d out of range", i, e.SpeedLevel)
@@ -207,12 +213,12 @@ func TestGainsAndSpeedMaterialization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gains := s.GainsAt(1.5)
-	if len(gains) != p.NumElectrodes {
-		t.Fatalf("gains length %d", len(gains))
+	levels := s.KeyAt(1.5).GainLevel
+	if len(levels) != p.NumElectrodes {
+		t.Fatalf("gains length %d", len(levels))
 	}
-	for _, g := range gains {
-		if g < p.GainMin || g > p.GainMax {
+	for _, lv := range levels {
+		if g := p.GainAt(lv); g < p.GainMin || g > p.GainMax {
 			t.Fatalf("gain %v out of [%v, %v]", g, p.GainMin, p.GainMax)
 		}
 	}

@@ -85,7 +85,10 @@ func ImportShared(blob []byte, passphrase string) (*Schedule, error) {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadShare, blob[len(shareMagic)])
 	}
 	iterations := int(binary.BigEndian.Uint32(blob[len(shareMagic)+1 : headerLen]))
-	if iterations < 1 || iterations > 1<<26 {
+	// Version 1 writes kdf.DefaultIterations, so a larger count comes from a
+	// forged or corrupted header. Rejecting it before PBKDF2 runs keeps an
+	// untrusted blob from choosing how much CPU opening it costs.
+	if iterations < 1 || iterations > kdf.DefaultIterations {
 		return nil, fmt.Errorf("%w: iteration count %d", ErrBadShare, iterations)
 	}
 	salt := blob[headerLen : headerLen+saltLen]

@@ -2,10 +2,13 @@ package cipher
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
+	"time"
 
 	"medsen/internal/drbg"
+	"medsen/internal/kdf"
 )
 
 func testSchedule(t *testing.T) *Schedule {
@@ -112,5 +115,22 @@ func TestKeyShareUnsupportedVersion(t *testing.T) {
 	blob[len(shareMagic)] = 9
 	if _, err := ImportShared(blob, "pass"); !errors.Is(err, ErrBadShare) {
 		t.Fatalf("expected ErrBadShare for bad version, got %v", err)
+	}
+}
+
+func TestKeyShareIterationCountBounded(t *testing.T) {
+	blob, err := testSchedule(t).ExportShared("pass")
+	if err != nil {
+		t.Fatal(err)
+	}
+	iters := blob[len(shareMagic)+1 : len(shareMagic)+5]
+	binary.BigEndian.PutUint32(iters, kdf.DefaultIterations+1)
+	start := time.Now()
+	_, err = ImportShared(blob, "pass")
+	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
+		t.Errorf("rejecting the share took %v, want < 100ms", elapsed)
+	}
+	if !errors.Is(err, ErrBadShare) {
+		t.Fatalf("iteration count %d: got %v, want ErrBadShare", kdf.DefaultIterations+1, err)
 	}
 }

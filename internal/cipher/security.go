@@ -36,49 +36,6 @@ func (p CountPosterior) EntropyBits() float64 {
 	return h
 }
 
-// MAP returns the maximum-a-posteriori count and its probability.
-func (p CountPosterior) MAP() (int, float64) {
-	best, bestP := 0, -1.0
-	for c, pr := range p.Probs {
-		if pr > bestP || (pr == bestP && c < best) {
-			best, bestP = c, pr
-		}
-	}
-	return best, bestP
-}
-
-// CredibleInterval returns the smallest [lo, hi] count range holding at
-// least the given posterior mass.
-func (p CountPosterior) CredibleInterval(mass float64) (lo, hi int) {
-	if len(p.Probs) == 0 {
-		return 0, 0
-	}
-	minC, maxC := math.MaxInt, math.MinInt
-	for c := range p.Probs {
-		if c < minC {
-			minC = c
-		}
-		if c > maxC {
-			maxC = c
-		}
-	}
-	best := math.MaxInt
-	for a := minC; a <= maxC; a++ {
-		sum := 0.0
-		for b := a; b <= maxC; b++ {
-			sum += p.Probs[b]
-			if sum >= mass {
-				if b-a < best {
-					best = b - a
-					lo, hi = a, b
-				}
-				break
-			}
-		}
-	}
-	return lo, hi
-}
-
 // factorDistribution computes the distribution of the peak multiplication
 // factor under the key-generation process by Monte-Carlo over epoch keys.
 func factorDistribution(p Params, arr electrode.Array, samples int, rng *drbg.DRBG) map[int]float64 {
@@ -113,53 +70,4 @@ func FactorEntropyBits(p Params, arr electrode.Array, rng *drbg.DRBG) (float64, 
 		}
 	}
 	return h, nil
-}
-
-// PosteriorOverCounts computes the analyst's posterior over the true
-// particle count given an observed ciphertext peak count, for a
-// single-epoch observation window.
-//
-// Model: the true count N is uniform over [1, maxCount] (the analyst's
-// prior); all N particles cross under one epoch key with multiplication
-// factor F drawn from the key distribution; the observation is peaks =
-// N × F. The posterior is P(N | peaks) ∝ Σ_F P(F)·[N·F = peaks].
-func PosteriorOverCounts(
-	p Params,
-	arr electrode.Array,
-	observedPeaks int,
-	maxCount int,
-	rng *drbg.DRBG,
-) (CountPosterior, error) {
-	if err := p.Validate(); err != nil {
-		return CountPosterior{}, err
-	}
-	if observedPeaks < 1 || maxCount < 1 {
-		return CountPosterior{}, fmt.Errorf("cipher: bad posterior inputs peaks=%d max=%d",
-			observedPeaks, maxCount)
-	}
-	if rng == nil {
-		return CountPosterior{}, fmt.Errorf("cipher: nil rng")
-	}
-	const mcSamples = 20000
-	factorDist := factorDistribution(p, arr, mcSamples, rng)
-
-	post := CountPosterior{ObservedPeaks: observedPeaks, Probs: make(map[int]float64)}
-	total := 0.0
-	for n := 1; n <= maxCount; n++ {
-		if observedPeaks%n != 0 {
-			continue
-		}
-		f := observedPeaks / n
-		if pr, ok := factorDist[f]; ok && pr > 0 {
-			post.Probs[n] = pr
-			total += pr
-		}
-	}
-	if total == 0 {
-		return post, nil
-	}
-	for n := range post.Probs {
-		post.Probs[n] /= total
-	}
-	return post, nil
 }

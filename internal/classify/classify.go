@@ -24,12 +24,6 @@ import (
 // carrier list.
 type Features []float64
 
-// Observation is one labeled training point.
-type Observation struct {
-	Type     microfluidic.Type
-	Features Features
-}
-
 // Model is a nearest-centroid classifier in log-amplitude space.
 type Model struct {
 	// CarriersHz lists the feature dimensions (excitation frequencies).
@@ -44,80 +38,6 @@ type Model struct {
 
 // minLogAmplitude guards against log(0) for empty or clipped features.
 const minLogAmplitude = -20
-
-func logVec(f Features) []float64 {
-	out := make([]float64, len(f))
-	for i, v := range f {
-		if v <= 0 {
-			out[i] = minLogAmplitude
-			continue
-		}
-		lv := math.Log(v)
-		if lv < minLogAmplitude {
-			lv = minLogAmplitude
-		}
-		out[i] = lv
-	}
-	return out
-}
-
-// Train fits a nearest-centroid model from labeled observations.
-func Train(carriersHz []float64, obs []Observation) (*Model, error) {
-	if len(carriersHz) == 0 {
-		return nil, errors.New("classify: no carriers")
-	}
-	if len(obs) == 0 {
-		return nil, errors.New("classify: no observations")
-	}
-	sums := make(map[microfluidic.Type][]float64)
-	counts := make(map[microfluidic.Type]int)
-	for i, o := range obs {
-		if len(o.Features) != len(carriersHz) {
-			return nil, fmt.Errorf("classify: observation %d has %d features, want %d",
-				i, len(o.Features), len(carriersHz))
-		}
-		lv := logVec(o.Features)
-		if _, ok := sums[o.Type]; !ok {
-			sums[o.Type] = make([]float64, len(carriersHz))
-		}
-		for d, v := range lv {
-			sums[o.Type][d] += v
-		}
-		counts[o.Type]++
-	}
-	m := &Model{
-		CarriersHz: append([]float64(nil), carriersHz...),
-		Centroids:  make(map[microfluidic.Type][]float64, len(sums)),
-		Spread:     make(map[microfluidic.Type][]float64, len(sums)),
-	}
-	for typ, sum := range sums {
-		c := make([]float64, len(carriersHz))
-		for d := range c {
-			c[d] = sum[d] / float64(counts[typ])
-		}
-		m.Centroids[typ] = c
-	}
-	// Second pass for spreads.
-	sq := make(map[microfluidic.Type][]float64)
-	for _, o := range obs {
-		lv := logVec(o.Features)
-		if _, ok := sq[o.Type]; !ok {
-			sq[o.Type] = make([]float64, len(carriersHz))
-		}
-		for d, v := range lv {
-			diff := v - m.Centroids[o.Type][d]
-			sq[o.Type][d] += diff * diff
-		}
-	}
-	for typ, s := range sq {
-		sd := make([]float64, len(carriersHz))
-		for d := range sd {
-			sd[d] = math.Sqrt(s[d] / float64(counts[typ]))
-		}
-		m.Spread[typ] = sd
-	}
-	return m, nil
-}
 
 // ReferenceModel builds a physics-calibrated model directly from the
 // particle dielectric spectra — the deployment path when no labeled capture
@@ -242,23 +162,4 @@ func (m *Model) CountByType(features []Features) (map[microfluidic.Type]int, err
 		out[res.Type]++
 	}
 	return out, nil
-}
-
-// Accuracy scores the model against labeled observations, returning the
-// fraction classified correctly.
-func (m *Model) Accuracy(obs []Observation) (float64, error) {
-	if len(obs) == 0 {
-		return 0, errors.New("classify: no observations")
-	}
-	correct := 0
-	for _, o := range obs {
-		res, err := m.Classify(o.Features)
-		if err != nil {
-			return 0, err
-		}
-		if res.Type == o.Type {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(obs)), nil
 }

@@ -1,6 +1,8 @@
 package classify
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -216,67 +218,104 @@ func TestTrainedCentroidsNearPhysicalSpectra(t *testing.T) {
 	}
 }
 
-func TestConfusionMatrix(t *testing.T) {
-	model, err := ReferenceModel(testCarriers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	obs := synthObservations(150, 0.1, 21)
-	cm, err := model.Confusion(obs)
-	if err != nil {
-		t.Fatalf("Confusion: %v", err)
-	}
-	if len(cm.Classes) != 3 {
-		t.Fatalf("classes = %v", cm.Classes)
-	}
-	if acc := cm.Accuracy(); acc < 0.9 {
-		t.Fatalf("confusion accuracy %.3f", acc)
-	}
-	total := 0
-	for _, row := range cm.Counts {
-		for _, n := range row {
-			total += n
-		}
-	}
-	if total != len(obs) {
-		t.Fatalf("matrix total %d, want %d", total, len(obs))
-	}
-	for _, typ := range microfluidic.AllTypes() {
-		if r := cm.Recall(typ); r < 0.8 {
-			t.Errorf("%v recall %.3f", typ, r)
-		}
-		if p := cm.Precision(typ); p < 0.8 {
-			t.Errorf("%v precision %.3f", typ, p)
-		}
-	}
-	if s := cm.String(); len(s) < 50 {
-		t.Fatalf("String too short: %q", s)
-	}
+// The tests fit and score models from labeled observations; the product
+// deploys ReferenceModel, so the trainer lives here.
+
+// Observation is one labeled training point.
+type Observation struct {
+	Type     microfluidic.Type
+	Features Features
 }
 
-func TestConfusionEmpty(t *testing.T) {
-	model, err := ReferenceModel(testCarriers)
-	if err != nil {
-		t.Fatal(err)
+func logVec(f Features) []float64 {
+	out := make([]float64, len(f))
+	for i, v := range f {
+		if v <= 0 {
+			out[i] = minLogAmplitude
+			continue
+		}
+		lv := math.Log(v)
+		if lv < minLogAmplitude {
+			lv = minLogAmplitude
+		}
+		out[i] = lv
 	}
-	if _, err := model.Confusion(nil); err == nil {
-		t.Fatal("expected error for no observations")
-	}
+	return out
 }
 
-func TestConfusionUnknownClassMetrics(t *testing.T) {
-	model, err := ReferenceModel(testCarriers)
-	if err != nil {
-		t.Fatal(err)
+// Train fits a nearest-centroid model from labeled observations.
+func Train(carriersHz []float64, obs []Observation) (*Model, error) {
+	if len(carriersHz) == 0 {
+		return nil, errors.New("classify: no carriers")
 	}
-	cm, err := model.Confusion(synthObservations(20, 0.05, 23))
-	if err != nil {
-		t.Fatal(err)
+	if len(obs) == 0 {
+		return nil, errors.New("classify: no observations")
 	}
-	if cm.Recall(microfluidic.Type(99)) != 0 {
-		t.Error("recall of unknown class should be 0")
+	sums := make(map[microfluidic.Type][]float64)
+	counts := make(map[microfluidic.Type]int)
+	for i, o := range obs {
+		if len(o.Features) != len(carriersHz) {
+			return nil, fmt.Errorf("classify: observation %d has %d features, want %d",
+				i, len(o.Features), len(carriersHz))
+		}
+		lv := logVec(o.Features)
+		if _, ok := sums[o.Type]; !ok {
+			sums[o.Type] = make([]float64, len(carriersHz))
+		}
+		for d, v := range lv {
+			sums[o.Type][d] += v
+		}
+		counts[o.Type]++
 	}
-	if cm.Precision(microfluidic.Type(99)) != 0 {
-		t.Error("precision of unknown class should be 0")
+	m := &Model{
+		CarriersHz: append([]float64(nil), carriersHz...),
+		Centroids:  make(map[microfluidic.Type][]float64, len(sums)),
+		Spread:     make(map[microfluidic.Type][]float64, len(sums)),
 	}
+	for typ, sum := range sums {
+		c := make([]float64, len(carriersHz))
+		for d := range c {
+			c[d] = sum[d] / float64(counts[typ])
+		}
+		m.Centroids[typ] = c
+	}
+	// Second pass for spreads.
+	sq := make(map[microfluidic.Type][]float64)
+	for _, o := range obs {
+		lv := logVec(o.Features)
+		if _, ok := sq[o.Type]; !ok {
+			sq[o.Type] = make([]float64, len(carriersHz))
+		}
+		for d, v := range lv {
+			diff := v - m.Centroids[o.Type][d]
+			sq[o.Type][d] += diff * diff
+		}
+	}
+	for typ, s := range sq {
+		sd := make([]float64, len(carriersHz))
+		for d := range sd {
+			sd[d] = math.Sqrt(s[d] / float64(counts[typ]))
+		}
+		m.Spread[typ] = sd
+	}
+	return m, nil
+}
+
+// Accuracy scores the model against labeled observations, returning the
+// fraction classified correctly.
+func (m *Model) Accuracy(obs []Observation) (float64, error) {
+	if len(obs) == 0 {
+		return 0, errors.New("classify: no observations")
+	}
+	correct := 0
+	for _, o := range obs {
+		res, err := m.Classify(o.Features)
+		if err != nil {
+			return 0, err
+		}
+		if res.Type == o.Type {
+			correct++
+		}
+	}
+	return float64(correct) / float64(len(obs)), nil
 }

@@ -57,7 +57,7 @@ func newAuthFixture(t *testing.T, stateDir string) *authFixture {
 		return secret
 	}
 	// Reuse secrets when the keystore was reopened over existing keys.
-	if ks.Len() == 0 {
+	if len(ks.Keys()) == 0 {
 		f.adminKey = issue(auth.RoleAdmin, "")
 		f.clinicKey = issue(auth.RoleClinic, "")
 		f.aliceKey = issue(auth.RoleOwner, "alice")

@@ -370,10 +370,6 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	return s, nil
 }
 
-// Registry exposes the enrollment store (e.g. for out-of-band enrollment by
-// the provider).
-func (s *Service) Registry() *beads.Registry { return s.registry }
-
 // Handler returns the HTTP API. With a keystore the /api/v1 surface sits
 // behind the bearer-authentication middleware; /healthz, /readyz and
 // /metrics stay anonymous.

@@ -72,7 +72,7 @@ func TestUserLinksSurviveRestart(t *testing.T) {
 	// First life: enroll, authenticate, link.
 	svc, _, client := newPersistentServer(t, dir)
 	id := beads.Identifier{microfluidic.TypeBead358: 2, microfluidic.TypeBead780: 4}
-	if err := svc.Registry().Enroll("alice", id); err != nil {
+	if err := svc.registry.Enroll("alice", id); err != nil {
 		t.Fatal(err)
 	}
 	s := quietSensor()

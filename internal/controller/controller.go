@@ -182,6 +182,8 @@ func (c *Controller) RunDiagnostic(ctx context.Context, cfg RunConfig, analyzer 
 	if err != nil {
 		return DiagnosticResult{}, err
 	}
+	// The key material dies with this diagnostic, whichever way it ends.
+	defer schedule.Zero()
 
 	c.notify("acquiring sample")
 	t0 := time.Now()
@@ -336,12 +338,6 @@ func (tab *ampTable) nearest(amp float64) microfluidic.Type {
 		}
 	}
 	return best
-}
-
-// nearestTypeByAmplitude is the one-shot form of ampTable.nearest.
-func nearestTypeByAmplitude(amp, freqHz float64) microfluidic.Type {
-	tab := refAmplitudes(freqHz)
-	return tab.nearest(amp)
 }
 
 func logDist(a, b float64) float64 {

@@ -241,7 +241,7 @@ func TestRunAuthenticationEndToEnd(t *testing.T) {
 
 	c := newController(t)
 	id := beads.Identifier{microfluidic.TypeBead358: 2, microfluidic.TypeBead780: 4}
-	if err := svc.Registry().Enroll("alice", id); err != nil {
+	if err := relay.Client.Enroll(context.Background(), "alice", id); err != nil {
 		t.Fatal(err)
 	}
 	res, err := c.RunAuthentication(context.Background(), id, bloodAt(600), 240, relay)

@@ -123,12 +123,11 @@ func (e *encoder) appendRows(dst []byte, limit int) []byte {
 	return dst
 }
 
-// DecodeBuffer holds reusable decode state for DecodeAcquisitionBuffer and
-// DecompressAcquisitionBuffer: the sample storage, the line reader and room
-// for a row longer than the reader's buffer. Sustained decoding (one upload
-// after another in the cloud service) then allocates nothing per row. The
-// zero value is ready to use; a buffer must not be shared between
-// concurrent decodes.
+// DecodeBuffer holds reusable decode state for DecompressAcquisitionBuffer:
+// the sample storage, the line reader and room for a row longer than the
+// reader's buffer. Sustained decoding (one upload after another in the cloud
+// service) then allocates nothing per row. The zero value is ready to use; a
+// buffer must not be shared between concurrent decodes.
 type DecodeBuffer struct {
 	samples [][]float64
 	times   []float64
@@ -140,24 +139,13 @@ type DecodeBuffer struct {
 // DecodeBuffer.long.
 const readBufferSize = 4 << 10
 
-// DecodeAcquisition parses a CSV produced by EncodeAcquisition. The sampling
-// rate is recovered from the time column.
-func DecodeAcquisition(r io.Reader) (lockin.Acquisition, error) {
-	return decodeAcquisition(r, nil)
-}
-
-// DecodeAcquisitionBuffer is DecodeAcquisition with sample storage drawn
-// from buf. The returned acquisition's traces alias buf's backing arrays and
-// are valid only until the buffer's next decode: callers that recycle the
-// buffer (e.g. through a sync.Pool) must be done with the acquisition first.
-func DecodeAcquisitionBuffer(r io.Reader, buf *DecodeBuffer) (lockin.Acquisition, error) {
-	return decodeAcquisition(r, buf)
-}
-
-// decodeAcquisition scans the DESIGN.md §12 format row by row: a header of
-// "time_s" and canonical channel columns, then rows of unquoted numbers,
-// with encoding/csv's line endings and blank lines. Any quote is rejected.
-// Fields are parsed in place, so a warmed buffer allocates nothing per row.
+// decodeAcquisition parses a CSV produced by EncodeAcquisition, recovering
+// the sampling rate from the time column. It scans the DESIGN.md §12 format
+// row by row: a header of "time_s" and canonical channel columns, then rows
+// of unquoted numbers, with encoding/csv's line endings and blank lines. Any
+// quote is rejected. Fields are parsed in place, so a warmed buffer
+// allocates nothing per row. Sample storage is drawn from buf (nil allocates
+// a fresh one).
 func decodeAcquisition(r io.Reader, buf *DecodeBuffer) (lockin.Acquisition, error) {
 	if buf == nil {
 		buf = new(DecodeBuffer)
@@ -523,8 +511,10 @@ func DecompressAcquisition(data []byte) (lockin.Acquisition, error) {
 }
 
 // DecompressAcquisitionBuffer is DecompressAcquisition with sample storage
-// drawn from buf (which may be nil); see DecodeAcquisitionBuffer for the
-// aliasing contract.
+// drawn from buf (which may be nil). The returned acquisition's traces alias
+// buf's backing arrays and are valid only until the buffer's next decode:
+// callers that recycle the buffer (e.g. through a sync.Pool) must be done
+// with the acquisition first.
 func DecompressAcquisitionBuffer(data []byte, buf *DecodeBuffer) (lockin.Acquisition, error) {
 	f, err := measurements(data)
 	if err != nil {

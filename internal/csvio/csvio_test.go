@@ -42,7 +42,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err := EncodeAcquisition(&buf, acq); err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	got, err := DecodeAcquisition(&buf)
+	got, err := decodeAcquisition(&buf, nil)
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
@@ -117,7 +117,7 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := DecodeAcquisition(strings.NewReader(tc.csv))
+			_, err := decodeAcquisition(strings.NewReader(tc.csv), nil)
 			if err == nil {
 				t.Fatalf("expected error for %q", tc.csv)
 			}
@@ -139,7 +139,7 @@ func TestDecodeAllocsIndependentOfRows(t *testing.T) {
 	var buf DecodeBuffer
 	decode := func(csv []byte) func() {
 		return func() {
-			if _, err := DecodeAcquisitionBuffer(bytes.NewReader(csv), &buf); err != nil {
+			if _, err := decodeAcquisition(bytes.NewReader(csv), &buf); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -39,7 +39,7 @@ func FuzzDecodeAcquisition(f *testing.F) {
 	f.Add("time_s,ch_+500000Hz\n0,1\n0.002,0.99\n")
 
 	f.Fuzz(func(t *testing.T, text string) {
-		acq, err := DecodeAcquisition(strings.NewReader(text))
+		acq, err := decodeAcquisition(strings.NewReader(text), nil)
 		if strings.Contains(text, `"`) {
 			if err == nil {
 				t.Fatal("accepted an input holding a quote")

@@ -2,7 +2,9 @@ package devicelink
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -12,7 +14,9 @@ import (
 	"testing"
 	"time"
 
+	"medsen/internal/accessory"
 	"medsen/internal/cloud"
+	"medsen/internal/csvio"
 	"medsen/internal/drbg"
 	"medsen/internal/lockin"
 	"medsen/internal/microfluidic"
@@ -443,4 +447,79 @@ func TestLinkedAnalyzerValidation(t *testing.T) {
 	if _, err := a.Analyze(context.Background(), lockin.Acquisition{}); err == nil {
 		t.Error("expected dial error to propagate")
 	}
+}
+
+// DeviceSendReliable and PhoneServeReliable run the exchange over
+// accessory's ARQ channel. No binary carries a capture over it yet (ROADMAP
+// records the open decision), so they live beside the tests that drive them
+// over a noisy cable.
+
+// DeviceSendReliable is DeviceSend over the ARQ channel: measurement chunks
+// and the returned report are sequence-numbered, CRC-NACK-retransmitted and
+// resynchronized, so a noisy cable costs retransmissions instead of a failed
+// test. The transport must be buffered (see accessory's reliable-channel
+// notes).
+func DeviceSendReliable(rw io.ReadWriter, acq lockin.Acquisition, progress func(string)) (cloud.Report, error) {
+	conn, err := accessory.Handshake(rw, accessory.DefaultIdentity())
+	if err != nil {
+		return cloud.Report{}, fmt.Errorf("devicelink: handshake: %w", err)
+	}
+	if progress != nil {
+		progress("compressing measurements")
+	}
+	payload, err := csvio.CompressAcquisition(acq)
+	if err != nil {
+		return cloud.Report{}, err
+	}
+	_, retrans, err := conn.SendDataReliable(payload, 0)
+	if err != nil {
+		return cloud.Report{}, fmt.Errorf("devicelink: sending measurements: %w", err)
+	}
+	if progress != nil && retrans > 0 {
+		progress(fmt.Sprintf("link noise: %d chunks retransmitted", retrans))
+	}
+	reportJSON, _, err := conn.ReceiveDataReliable(progress)
+	if err != nil {
+		return cloud.Report{}, fmt.Errorf("devicelink: receiving report: %w", err)
+	}
+	var report cloud.Report
+	if err := json.Unmarshal(reportJSON, &report); err != nil {
+		return cloud.Report{}, fmt.Errorf("devicelink: decoding report: %w", err)
+	}
+	return report, nil
+}
+
+// PhoneServeReliable is PhoneServe over the ARQ channel.
+func PhoneServeReliable(ctx context.Context, rw io.ReadWriter, relay *phone.Relay) (string, error) {
+	if relay == nil || relay.Client == nil {
+		return "", errors.New("devicelink: phone relay not configured")
+	}
+	phoneID := accessory.Identity{Manufacturer: "Google", Model: "Nexus 5", Version: "Android 4.4"}
+	conn, err := accessory.Handshake(rw, phoneID)
+	if err != nil {
+		return "", fmt.Errorf("devicelink: handshake: %w", err)
+	}
+	payload, _, err := conn.ReceiveDataReliable(relay.Progress)
+	if err != nil {
+		return "", fmt.Errorf("devicelink: receiving measurements: %w", err)
+	}
+	if _, err := relay.Uplink.TransferContext(ctx, len(payload)); err != nil {
+		return "", fmt.Errorf("devicelink: uplink: %w", err)
+	}
+	sub, err := relay.Submit(ctx, payload)
+	if err != nil {
+		_ = accessory.WriteFrame(rw, accessory.Frame{
+			Type:    accessory.FrameError,
+			Payload: []byte(err.Error()),
+		})
+		return "", err
+	}
+	reportJSON, err := json.Marshal(sub.Report)
+	if err != nil {
+		return "", fmt.Errorf("devicelink: encoding report: %w", err)
+	}
+	if _, _, err := conn.SendDataReliable(reportJSON, 0); err != nil {
+		return "", fmt.Errorf("devicelink: returning report: %w", err)
+	}
+	return sub.ID, nil
 }

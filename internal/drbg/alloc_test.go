@@ -2,12 +2,19 @@ package drbg
 
 import "testing"
 
-// The generator is the innermost loop of every simulated acquisition
-// (~10⁵ draws per run), so its steady state must not allocate at all.
+// The generator draws every key schedule (about a thousand draws for a 30 s
+// capture at one-second epochs), the identifier and the seeds of the
+// simulated physics streams, so its steady state must not allocate at all.
 // These pins are the drbg-side counterpart of the detrend/peak alloc pins
 // in internal/sigproc.
 
+// raceEnabled is set in race_test.go when the race detector is on.
+var raceEnabled bool
+
 func TestGenerateAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates; the pin holds without -race")
+	}
 	d := NewFromSeed(1)
 	buf := make([]byte, 8)
 	if avg := testing.AllocsPerRun(200, func() {
@@ -20,6 +27,9 @@ func TestGenerateAllocFree(t *testing.T) {
 }
 
 func TestDerivedDrawsAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates; the pin holds without -race")
+	}
 	d := NewFromSeed(2)
 	if avg := testing.AllocsPerRun(200, func() { d.Uint64() }); avg != 0 {
 		t.Errorf("Uint64 allocates %v per call, want 0", avg)
@@ -29,9 +39,6 @@ func TestDerivedDrawsAllocFree(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(200, func() { d.Intn(17) }); avg != 0 {
 		t.Errorf("Intn allocates %v per call, want 0", avg)
-	}
-	if avg := testing.AllocsPerRun(200, func() { d.Poisson(20) }); avg != 0 {
-		t.Errorf("Poisson allocates %v per call, want 0", avg)
 	}
 }
 

@@ -212,14 +212,6 @@ func (d *DRBG) update(provided []byte) {
 	d.hmacInto(&d.v, d.v[:], nil, nil)
 }
 
-// Reseed mixes fresh seed material into the generator state.
-func (d *DRBG) Reseed(seed []byte) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.update(seed)
-	d.counter = 1
-}
-
 // Generate fills out with random bytes. It returns ErrReseedRequired once
 // the reseed interval is exhausted and an error for oversized requests.
 func (d *DRBG) Generate(out []byte) error {
@@ -269,11 +261,6 @@ func (d *DRBG) Uint64() uint64 {
 	return binary.BigEndian.Uint64(buf[:])
 }
 
-// Uint32 returns a uniformly distributed 32-bit value.
-func (d *DRBG) Uint32() uint32 {
-	return uint32(d.Uint64() >> 32)
-}
-
 // Intn returns a uniformly distributed integer in [0, n). It panics if
 // n <= 0, matching math/rand semantics.
 func (d *DRBG) Intn(n int) int {
@@ -309,64 +296,7 @@ func (d *DRBG) NormFloat64() float64 {
 	}
 }
 
-// ExpFloat64 returns an exponentially distributed value with rate 1.
-func (d *DRBG) ExpFloat64() float64 {
-	for {
-		u := d.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
-}
-
-// Perm returns a random permutation of [0, n).
-func (d *DRBG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := d.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Shuffle randomizes the order of n elements using the provided swap
-// function, as in math/rand.Shuffle.
-func (d *DRBG) Shuffle(n int, swap func(i, j int)) {
-	if n < 0 {
-		panic("drbg: Shuffle called with negative n")
-	}
-	for i := n - 1; i > 0; i-- {
-		swap(i, d.Intn(i+1))
-	}
-}
-
 // Bool returns a uniformly distributed boolean.
 func (d *DRBG) Bool() bool {
 	return d.Uint64()&1 == 1
-}
-
-// Poisson draws from a Poisson distribution with the given mean using
-// Knuth's method for small means and a normal approximation for large ones.
-func (d *DRBG) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 64 {
-		// Normal approximation with continuity correction keeps the
-		// draw O(1) for the dense samples used in long acquisitions.
-		v := mean + math.Sqrt(mean)*d.NormFloat64() + 0.5
-		if v < 0 {
-			return 0
-		}
-		return int(v)
-	}
-	limit := math.Exp(-mean)
-	product := d.Float64()
-	n := 0
-	for product > limit {
-		product *= d.Float64()
-		n++
-	}
-	return n
 }

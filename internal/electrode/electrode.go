@@ -1,16 +1,16 @@
 // Package electrode models the MedSen co-planar micro-electrode array: the
-// double-layer interface impedance of §III-A (capacitive below ~10 kHz,
-// resistive above ~100 kHz), the multi-output geometries of Fig. 5 (2, 3, 5,
-// 9 and 16 independent outputs interleaved with a common excitation rake),
-// and the per-transit pulse grammar of §III-B: the lead electrode answers
-// each passing particle with a single voltage drop, every other active
-// output with a double peak, because it is flanked by excitation electrodes
-// on both sides.
+// multi-output geometries of Fig. 5 (2, 3, 5, 9 and 16 independent outputs
+// interleaved with a common excitation rake) and the per-transit pulse
+// grammar of §III-B: the lead electrode answers each passing particle with a
+// single voltage drop, every other active output with a double peak, because
+// it is flanked by excitation electrodes on both sides. Pulses are rendered
+// in the resistance-dominant regime of §III-A's double-layer interface
+// (capacitive below ~10 kHz, resistive above ~100 kHz), where the lock-in's
+// carriers sit; the tests' interface model checks that.
 package electrode
 
 import (
 	"fmt"
-	"math"
 
 	"medsen/internal/microfluidic"
 )
@@ -21,10 +21,6 @@ const (
 	WidthUm = 20.0
 	// PitchUm is the electrode pitch (25 µm).
 	PitchUm = 25.0
-	// SpanUm is the distance a particle travels while influencing one
-	// electrode pair: the pitch plus two electrode half-widths (§VII-A
-	// computes 45 µm).
-	SpanUm = PitchUm + WidthUm
 )
 
 // Array describes a sensing region with one common excitation rake and
@@ -171,11 +167,6 @@ func crossingsPerOutput(idx int) int {
 	return 2
 }
 
-// SpanUm returns the sensing span of one electrode pair.
-func (a Array) SpanUm() float64 {
-	return a.PitchUm + a.WidthUm
-}
-
 // RegionLengthUm returns the total length of the sensing region: outputs
 // interleaved with excitation electrodes.
 func (a Array) RegionLengthUm() float64 {
@@ -285,48 +276,4 @@ func (a Array) PulsesForTransit(
 		}
 	}
 	return pulses
-}
-
-// Interface models the electrode-electrolyte interface of Fig. 3: the
-// solution resistance in series with the double-layer capacitance of the two
-// electrodes.
-type Interface struct {
-	// SolutionResistanceOhm is the ionic resistance of the PBS-filled
-	// gap (resistance-dominant regime value).
-	SolutionResistanceOhm float64
-	// DoubleLayerFarad is the double-layer capacitance of one electrode.
-	DoubleLayerFarad float64
-}
-
-// DefaultInterface returns parameters calibrated so that the impedance is in
-// the MΩ range below 10 kHz and settles to the solution resistance above
-// 100 kHz, as described in §III-A.
-func DefaultInterface() Interface {
-	return Interface{
-		SolutionResistanceOhm: 120e3, // 120 kΩ pore resistance
-		DoubleLayerFarad:      50e-12,
-	}
-}
-
-// MagnitudeOhm returns |Z| at the given frequency: R in series with the two
-// double-layer capacitors, |Z| = sqrt(R² + (2/(ωC))²).
-func (ifc Interface) MagnitudeOhm(freqHz float64) float64 {
-	if freqHz <= 0 {
-		return math.Inf(1)
-	}
-	omega := 2 * math.Pi * freqHz
-	xc := 2 / (omega * ifc.DoubleLayerFarad)
-	return math.Sqrt(ifc.SolutionResistanceOhm*ifc.SolutionResistanceOhm + xc*xc)
-}
-
-// ResistanceDominant reports whether the interface operates in the
-// resistance-dominant regime at the given frequency, the regime MedSen
-// measures in (§III-A: capacitance is short-circuited above ~100 kHz).
-func (ifc Interface) ResistanceDominant(freqHz float64) bool {
-	if freqHz <= 0 {
-		return false
-	}
-	omega := 2 * math.Pi * freqHz
-	xc := 2 / (omega * ifc.DoubleLayerFarad)
-	return xc < ifc.SolutionResistanceOhm/3
 }

@@ -333,3 +333,59 @@ func TestPulseSigma(t *testing.T) {
 		t.Fatal("fallback sensing length mismatch")
 	}
 }
+
+// SpanUm returns the sensing span of one electrode pair: the distance a
+// particle travels while influencing it, the pitch plus two electrode
+// half-widths (§VII-A computes 45 µm).
+func (a Array) SpanUm() float64 {
+	return a.PitchUm + a.WidthUm
+}
+
+// The simulation renders pulses in the resistance-dominant regime directly.
+// The interface model below backs DESIGN.md §1's claim that the lock-in's
+// carriers (≥ 500 kHz) sit in that regime, with the MΩ capacitive regime
+// below 10 kHz.
+
+// Interface models the electrode-electrolyte interface of Fig. 3: the
+// solution resistance in series with the double-layer capacitance of the two
+// electrodes.
+type Interface struct {
+	// SolutionResistanceOhm is the ionic resistance of the PBS-filled
+	// gap (resistance-dominant regime value).
+	SolutionResistanceOhm float64
+	// DoubleLayerFarad is the double-layer capacitance of one electrode.
+	DoubleLayerFarad float64
+}
+
+// DefaultInterface returns parameters calibrated so that the impedance is in
+// the MΩ range below 10 kHz and settles to the solution resistance above
+// 100 kHz, as described in §III-A.
+func DefaultInterface() Interface {
+	return Interface{
+		SolutionResistanceOhm: 120e3, // 120 kΩ pore resistance
+		DoubleLayerFarad:      50e-12,
+	}
+}
+
+// MagnitudeOhm returns |Z| at the given frequency: R in series with the two
+// double-layer capacitors, |Z| = sqrt(R² + (2/(ωC))²).
+func (ifc Interface) MagnitudeOhm(freqHz float64) float64 {
+	if freqHz <= 0 {
+		return math.Inf(1)
+	}
+	omega := 2 * math.Pi * freqHz
+	xc := 2 / (omega * ifc.DoubleLayerFarad)
+	return math.Sqrt(ifc.SolutionResistanceOhm*ifc.SolutionResistanceOhm + xc*xc)
+}
+
+// ResistanceDominant reports whether the interface operates in the
+// resistance-dominant regime at the given frequency, the regime MedSen
+// measures in (§III-A: capacitance is short-circuited above ~100 kHz).
+func (ifc Interface) ResistanceDominant(freqHz float64) bool {
+	if freqHz <= 0 {
+		return false
+	}
+	omega := 2 * math.Pi * freqHz
+	xc := 2 / (omega * ifc.DoubleLayerFarad)
+	return xc < ifc.SolutionResistanceOhm/3
+}

@@ -34,9 +34,6 @@ type Options struct {
 	Quick bool
 }
 
-// DefaultOptions returns full-scale deterministic settings.
-func DefaultOptions() Options { return Options{Seed: 2016} }
-
 // rng derives an experiment-specific generator so experiments are
 // independent of execution order.
 func (o Options) rng(label string) *drbg.DRBG {

@@ -123,14 +123,6 @@ func SyntheticCaptureForBench(n int, rng *drbg.DRBG) sigproc.Trace {
 	return syntheticCapture(n, rng)
 }
 
-// Fig14Profile returns one of the two Fig. 14 execution profiles.
-func Fig14Profile(smartphone bool) profile.Profile {
-	if smartphone {
-		return profile.SmartphoneNexus5()
-	}
-	return profile.Computer()
-}
-
 // DecryptionWorkload builds a realistic decryption input — the analyst's
 // peak report for an encrypted capture — for isolating the controller's
 // decryption cost.

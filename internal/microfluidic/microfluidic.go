@@ -231,22 +231,6 @@ func (s Sample) Validate() error {
 	return nil
 }
 
-// ExpectedCount returns the nominal number of particles of the given type in
-// the sample (concentration × volume), the "estimated count" axis of
-// Figs. 12 and 13.
-func (s Sample) ExpectedCount(t Type) float64 {
-	return s.ConcentrationPerUl[t] * s.VolumeUl
-}
-
-// TotalConcentration sums concentrations over all particle types.
-func (s Sample) TotalConcentration() float64 {
-	sum := 0.0
-	for _, c := range s.ConcentrationPerUl {
-		sum += c
-	}
-	return sum
-}
-
 // Mix combines two samples (e.g. the patient's blood and the cyto-coded
 // password bead suspension, §V) and returns the pooled sample. Volumes add;
 // concentrations are volume-weighted.
@@ -446,13 +430,4 @@ func GenerateTransits(cfg GenerateConfig, rng *drbg.DRBG) ([]Transit, error) {
 	// unstable sort still gives one order.
 	slices.SortFunc(transits, func(a, b Transit) int { return cmp.Compare(a.EntryS, b.EntryS) })
 	return transits, nil
-}
-
-// CountByType tallies transits per particle type.
-func CountByType(transits []Transit) map[Type]int {
-	out := make(map[Type]int)
-	for _, tr := range transits {
-		out[tr.Type]++
-	}
-	return out
 }

@@ -343,3 +343,31 @@ func TestLossEfficiencyMonotoneInTime(t *testing.T) {
 		t.Fatalf("disabled loss efficiency = %v, want 1", got)
 	}
 }
+
+// Sample and transit tallies the tests check mixing and counting with; the
+// product counts particles from the decrypted analysis instead.
+
+// ExpectedCount returns the nominal number of particles of the given type in
+// the sample (concentration × volume), the "estimated count" axis of
+// Figs. 12 and 13.
+func (s Sample) ExpectedCount(t Type) float64 {
+	return s.ConcentrationPerUl[t] * s.VolumeUl
+}
+
+// TotalConcentration sums concentrations over all particle types.
+func (s Sample) TotalConcentration() float64 {
+	sum := 0.0
+	for _, c := range s.ConcentrationPerUl {
+		sum += c
+	}
+	return sum
+}
+
+// CountByType tallies transits per particle type.
+func CountByType(transits []Transit) map[Type]int {
+	out := make(map[Type]int)
+	for _, tr := range transits {
+		out[tr.Type]++
+	}
+	return out
+}

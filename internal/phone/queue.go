@@ -13,9 +13,7 @@ import (
 	"sync/atomic"
 
 	"medsen/internal/cloud"
-	"medsen/internal/csvio"
 	"medsen/internal/faultinject"
-	"medsen/internal/lockin"
 )
 
 // OfflineQueue is the phone app's store-and-forward buffer: a cellular link
@@ -153,16 +151,9 @@ func (q *OfflineQueue) listLocked(suffix string) ([]string, error) {
 	return names, nil
 }
 
-// permanentUploadError reports whether the service definitively rejected the
-// payload itself — retrying the identical bytes can never succeed, so the
-// entry should be parked rather than block the queue.
-func permanentUploadError(err error) bool {
-	return errors.Is(err, cloud.ErrInvalidRequest) ||
-		errors.Is(err, cloud.ErrUnprocessable) ||
-		errors.Is(err, cloud.ErrPayloadTooLarge)
-}
-
-// permanentItemCode is permanentUploadError for a batch item's error code.
+// permanentItemCode reports whether the service definitively rejected a batch
+// item's payload itself: retrying the identical bytes can never succeed, so
+// the entry should be parked rather than block the queue.
 func permanentItemCode(code string) bool {
 	switch code {
 	case cloud.CodeInvalidRequest, cloud.CodeUnprocessable, cloud.CodePayloadTooLarge:
@@ -311,21 +302,4 @@ func (r *Relay) SubmitOrSpool(ctx context.Context, payload []byte, q *OfflineQue
 	atomic.AddInt64(&r.spooled, 1)
 	r.progress("capture spooled as %s", name)
 	return cloud.SubmitResponse{}, true, nil
-}
-
-// UploadOrQueue attempts a live upload; on a transport or service failure it
-// spools the payload instead and reports queued=true. The measurement is
-// never lost.
-func (r *Relay) UploadOrQueue(ctx context.Context, acq lockin.Acquisition, q *OfflineQueue) (sub cloud.SubmitResponse, queued bool, err error) {
-	if q == nil {
-		return cloud.SubmitResponse{}, false, errors.New("phone: nil queue")
-	}
-	payload, err := csvio.CompressAcquisition(acq)
-	if err != nil {
-		return cloud.SubmitResponse{}, false, err
-	}
-	if _, err := r.Uplink.TransferContext(ctx, len(payload)); err != nil {
-		return cloud.SubmitResponse{}, false, err
-	}
-	return r.SubmitOrSpool(ctx, payload, q)
 }

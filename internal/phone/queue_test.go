@@ -2,6 +2,7 @@ package phone
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -9,6 +10,7 @@ import (
 
 	"medsen/internal/cloud"
 	"medsen/internal/csvio"
+	"medsen/internal/lockin"
 )
 
 // flakyCloud wraps a live analysis service behind a switch that simulates a
@@ -229,4 +231,25 @@ func TestQueueSequenceContinuesAfterFlush(t *testing.T) {
 	if len(first) != len(second) {
 		t.Fatalf("inconsistent name widths: %q vs %q", first, second)
 	}
+}
+
+// UploadOrQueue compresses and transfers a capture, then ships or spools it
+// through SubmitOrSpool. No binary spools captures yet (ROADMAP records the
+// open decision), so it lives with its tests.
+
+// UploadOrQueue attempts a live upload; on a transport or service failure it
+// spools the payload instead and reports queued=true. The measurement is
+// never lost.
+func (r *Relay) UploadOrQueue(ctx context.Context, acq lockin.Acquisition, q *OfflineQueue) (sub cloud.SubmitResponse, queued bool, err error) {
+	if q == nil {
+		return cloud.SubmitResponse{}, false, errors.New("phone: nil queue")
+	}
+	payload, err := csvio.CompressAcquisition(acq)
+	if err != nil {
+		return cloud.SubmitResponse{}, false, err
+	}
+	if _, err := r.Uplink.TransferContext(ctx, len(payload)); err != nil {
+		return cloud.SubmitResponse{}, false, err
+	}
+	return r.SubmitOrSpool(ctx, payload, q)
 }

@@ -35,13 +35,6 @@ func (t Trace) Duration() float64 {
 	return float64(len(t.Samples)) / t.Rate
 }
 
-// Clone returns a deep copy of the trace.
-func (t Trace) Clone() Trace {
-	out := Trace{Rate: t.Rate, Samples: make([]float64, len(t.Samples))}
-	copy(out.Samples, t.Samples)
-	return out
-}
-
 // Peak describes one detected voltage drop.
 type Peak struct {
 	// Index is the sample index of the peak apex (maximum depth).
@@ -660,28 +653,13 @@ func MinMax(xs []float64) (min, max float64) {
 	return min, max
 }
 
-// LowPass applies a single-pole IIR low-pass filter with the given cutoff
-// frequency (Hz), modeling the lock-in amplifier's 120 Hz output filter.
-func LowPass(t Trace, cutoffHz float64) Trace {
-	if cutoffHz <= 0 || t.Rate <= 0 || len(t.Samples) == 0 {
-		return t.Clone()
-	}
-	dt := 1 / t.Rate
-	rc := 1 / (2 * math.Pi * cutoffHz)
-	alpha := dt / (rc + dt)
-	out := make([]float64, len(t.Samples))
-	out[0] = t.Samples[0]
-	for i := 1; i < len(t.Samples); i++ {
-		out[i] = out[i-1] + alpha*(t.Samples[i]-out[i-1])
-	}
-	return Trace{Rate: t.Rate, Samples: out}
-}
-
-// LowPassInPlace applies the same single-pole IIR filter as LowPass but
-// overwrites t.Samples instead of allocating an output trace. The recurrence
-// only reads out[i-1] (already written) and t.Samples[i] (not yet written),
-// so filtering in place computes bitwise-identical values; the acquisition
-// render uses this to avoid one trace-sized allocation per carrier.
+// LowPassInPlace applies a single-pole IIR low-pass filter with the given
+// cutoff frequency (Hz) to t.Samples, modeling the lock-in amplifier's
+// 120 Hz output filter. Each step reads only the previous output and the
+// current input, so the filter overwrites the samples and needs no output
+// buffer; the acquisition render filters this way to avoid one trace-sized
+// allocation per carrier. A non-positive cutoff or rate leaves the samples as
+// they are.
 func LowPassInPlace(t Trace, cutoffHz float64) {
 	if cutoffHz <= 0 || t.Rate <= 0 || len(t.Samples) == 0 {
 		return
@@ -693,37 +671,6 @@ func LowPassInPlace(t Trace, cutoffHz float64) {
 	for i := 1; i < len(s); i++ {
 		s[i] = s[i-1] + alpha*(s[i]-s[i-1])
 	}
-}
-
-// MovingAverage smooths the trace with a centered window of the given odd
-// length; an even length is rounded up.
-func MovingAverage(t Trace, window int) Trace {
-	if window <= 1 || len(t.Samples) == 0 {
-		return t.Clone()
-	}
-	if window%2 == 0 {
-		window++
-	}
-	half := window / 2
-	n := len(t.Samples)
-	out := make([]float64, n)
-	// Prefix sums give O(n) smoothing.
-	prefix := make([]float64, n+1)
-	for i, v := range t.Samples {
-		prefix[i+1] = prefix[i] + v
-	}
-	for i := 0; i < n; i++ {
-		lo := i - half
-		if lo < 0 {
-			lo = 0
-		}
-		hi := i + half + 1
-		if hi > n {
-			hi = n
-		}
-		out[i] = (prefix[hi] - prefix[lo]) / float64(hi-lo)
-	}
-	return Trace{Rate: t.Rate, Samples: out}
 }
 
 // SNR estimates the signal-to-noise ratio (in dB) of a detrended trace given
