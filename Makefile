@@ -84,7 +84,7 @@ worker-loadgen-smoke:
 # Short fuzz passes over every wire-format parser.
 fuzz:
 	$(GO) test -fuzz FuzzReadFrame -fuzztime 30s ./internal/accessory
-	$(GO) test -fuzz FuzzReliableReceiveResync -fuzztime 30s ./internal/accessory
+	$(GO) test -fuzz FuzzReceiveData -fuzztime 30s ./internal/accessory
 	$(GO) test -fuzz FuzzDecodeAcquisition -fuzztime 30s ./internal/csvio
 	$(GO) test -fuzz FuzzBatchRequest -fuzztime 10s ./internal/cloud
 	$(GO) test -fuzz FuzzWorkqueueBodies -fuzztime 10s ./internal/cloud

@@ -67,14 +67,6 @@ func (t FrameType) String() string {
 		return "error"
 	case FrameEnd:
 		return "end"
-	case FrameDataSeq:
-		return "data-seq"
-	case FrameAckSeq:
-		return "ack-seq"
-	case FrameNackSeq:
-		return "nack-seq"
-	case FrameEndSeq:
-		return "end-seq"
 	default:
 		return fmt.Sprintf("frame(%d)", uint8(t))
 	}
@@ -197,8 +189,7 @@ func decodeIdentity(data []byte) (Identity, error) {
 // Conn is one side of an accessory link after handshake.
 type Conn struct {
 	rw io.ReadWriter
-	// br buffers reads once any Conn method has read from the link, so
-	// the reliable channel can resynchronize by peeking.
+	// br buffers reads once any Conn method has read from the link.
 	br *bufio.Reader
 	// Peer is the remote side's identity.
 	Peer Identity
@@ -230,6 +221,15 @@ func Handshake(rw io.ReadWriter, self Identity) (*Conn, error) {
 		return nil, err
 	}
 	return &Conn{rw: rw, Peer: peer}, nil
+}
+
+// reader returns the connection's buffered reader, installing it on first
+// use.
+func (c *Conn) reader() *bufio.Reader {
+	if c.br == nil {
+		c.br = bufio.NewReader(c.rw)
+	}
+	return c.br
 }
 
 // SendData streams a payload as acknowledged data frames followed by an end

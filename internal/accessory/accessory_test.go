@@ -226,10 +226,6 @@ func TestFrameTypeStrings(t *testing.T) {
 		FrameProgress: "progress",
 		FrameError:    "error",
 		FrameEnd:      "end",
-		FrameDataSeq:  "data-seq",
-		FrameAckSeq:   "ack-seq",
-		FrameNackSeq:  "nack-seq",
-		FrameEndSeq:   "end-seq",
 		FrameType(99): "frame(99)",
 	}
 	for ft, want := range cases {

@@ -2,7 +2,6 @@ package accessory
 
 import (
 	"bytes"
-	"encoding/binary"
 	"io"
 	"testing"
 )
@@ -36,49 +35,68 @@ func FuzzReadFrame(f *testing.F) {
 }
 
 // fuzzSink feeds the fuzzer's bytes as the receive stream and swallows the
-// receiver's acks/nacks: the remote never answers, so the receiver must
-// terminate on its own when the input runs out.
+// receiver's acks: the remote never answers, so the receiver must return on
+// its own when the input runs out.
 type fuzzSink struct {
 	io.Reader
 }
 
 func (fuzzSink) Write(p []byte) (int, error) { return len(p), nil }
 
-// reliableStreamSeed encodes a well-formed one-chunk reliable transfer,
-// giving coverage a valid path to mutate from.
-func reliableStreamSeed(payload []byte) []byte {
+// transferSeed encodes the frames a sender writes for one transfer — a
+// progress line, one data frame per chunk, the end frame — giving coverage
+// a valid path to mutate from.
+func transferSeed(chunks ...string) []byte {
 	var buf bytes.Buffer
-	chunk := make([]byte, 4+len(payload))
-	binary.BigEndian.PutUint32(chunk[:4], 0)
-	copy(chunk[4:], payload)
-	_ = WriteFrame(&buf, Frame{Type: FrameDataSeq, Payload: chunk})
-	var end [4]byte
-	binary.BigEndian.PutUint32(end[:], 1)
-	_ = WriteFrame(&buf, Frame{Type: FrameEndSeq, Payload: end[:]})
+	_ = WriteFrame(&buf, Frame{Type: FrameProgress, Payload: []byte("37%")})
+	for _, c := range chunks {
+		_ = WriteFrame(&buf, Frame{Type: FrameData, Payload: []byte(c)})
+	}
+	_ = WriteFrame(&buf, Frame{Type: FrameEnd})
 	return buf.Bytes()
 }
 
-// FuzzReliableReceiveResync hardens the ARQ receiver's resynchronization
-// path: arbitrary bytes on the wire — torn frames, fake magic pairs inside
-// garbage, corrupted sequence numbers — must never panic the receiver, and
-// it must always terminate once the stream is exhausted (the magic scan has
-// no answer-back, so EOF is the only exit).
-func FuzzReliableReceiveResync(f *testing.F) {
-	f.Add(reliableStreamSeed([]byte("cyto-coded measurement")))
-	// Garbage before a valid stream exercises the magic scan.
-	f.Add(append(bytes.Repeat([]byte{0x5A, frameMagic0}, 9), reliableStreamSeed([]byte("x"))...))
-	// A valid stream with its first magic byte corrupted desynchronizes
-	// framing immediately.
-	corrupted := reliableStreamSeed([]byte("y"))
+// FuzzReceiveData hardens the frame reassembly both ends of the link run:
+// the phone reassembles the measurements with ReceiveData, and the device
+// reassembles the report from the untrusted phone (§II) with it. Arbitrary
+// bytes must never panic the receiver, it must return once the stream is
+// exhausted, and an accepted transfer must be the data frames before the
+// end frame, in order.
+func FuzzReceiveData(f *testing.F) {
+	f.Add(transferSeed("cyto-coded ", "measurement"))
+	f.Add(transferSeed())
+	// A valid stream with its first magic byte corrupted.
+	corrupted := transferSeed("y")
 	corrupted[0] ^= 0xFF
 	f.Add(corrupted)
+	var errFrame bytes.Buffer
+	_ = WriteFrame(&errFrame, Frame{Type: FrameError, Payload: []byte("pump stall")})
+	f.Add(errFrame.Bytes())
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{frameMagic0, frameMagic1}, 32))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := &Conn{rw: fuzzSink{bytes.NewReader(data)}}
-		// The receiver may reassemble data or report any error; the
-		// invariant is that it returns at all without panicking.
-		_, _, _ = c.ReceiveDataReliable(nil)
+		got, err := c.ReceiveData(func(string) {})
+		if err != nil {
+			return
+		}
+		var want []byte
+		r := bytes.NewReader(data)
+		for {
+			fr, err := ReadFrame(r)
+			if err != nil {
+				t.Fatalf("ReceiveData accepted a stream whose frames do not decode: %v", err)
+			}
+			if fr.Type == FrameEnd {
+				break
+			}
+			if fr.Type == FrameData {
+				want = append(want, fr.Payload...)
+			}
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("reassembled %d bytes, want the %d bytes of the data frames", len(got), len(want))
+		}
 	})
 }

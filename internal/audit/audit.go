@@ -173,11 +173,13 @@ func parseChain(data []byte) ([]Record, error) {
 }
 
 // Append assigns the chain fields (Seq, TimeUnix, PrevHash, Hash) to the
-// record, durably appends it, and returns the completed record. On a write
-// error — including any append to a file-backed log after Close — nothing is
-// committed: the in-memory chain and the caller's view stay consistent, the
-// next append retries the same sequence number, and AppendErrors counts the
-// failure.
+// record, writes it to the chain file, and returns the completed record. The
+// write is not fsynced: the file is synced only at Close, so a host crash
+// can drop the unsynced tail, and Open cannot tell that loss from
+// truncation. On a write error — including any append to a file-backed log
+// after Close — nothing is committed: the in-memory chain and the caller's
+// view stay consistent, the next append retries the same sequence number,
+// and AppendErrors counts the failure.
 func (l *Log) Append(r Record) (Record, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

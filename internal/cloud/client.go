@@ -44,8 +44,8 @@ type Client struct {
 	// keys on the authenticated API key, not this header.
 	ClientID string
 	// APIKey, when non-empty, is sent as "Authorization: Bearer" on every
-	// request — live submits, async polls, breaker flushes, and spool
-	// replays alike, since they all funnel through the same request path.
+	// request — live submits, async polls and spool flushes alike, since
+	// they all funnel through the same request path.
 	// Required when the service runs with authentication enabled.
 	APIKey string
 }
@@ -236,8 +236,8 @@ func (c *Client) doOnce(ctx context.Context, method, path string, body []byte, c
 // SubmitCompressed uploads an already zip-compressed capture, waits for the
 // inline analysis, and returns the analysis id and report. The request
 // carries the payload's content-derived capture key (CaptureKey), so client
-// retries, breaker flushes, and spool replays of the same capture return the
-// original analysis instead of storing it twice.
+// retries and spool replays of the same capture return the original analysis
+// instead of storing it twice.
 func (c *Client) SubmitCompressed(ctx context.Context, payload []byte) (SubmitResponse, error) {
 	return c.SubmitCompressedKeyed(ctx, payload, CaptureKey(payload))
 }

@@ -1,16 +1,16 @@
 package cloud
 
 // Exactly-once ingestion. Every retry seam in the system — cloud.Client
-// re-sending a POST, the phone breaker flushing its backlog, an OfflineQueue
-// replay after a crash, a response torn mid-body by the network — can deliver
-// the same capture twice, and a re-analyzed duplicate double-counts a
-// patient's diagnostic record. The service therefore keys every upload by a
-// capture key — the client's Idempotency-Key header, falling back to the
-// SHA-256 digest of the payload — and keeps an index from key to the work it
-// owns. A duplicate of completed work returns the original analysis; a
-// duplicate of in-flight work returns the owning job (async) or a 409
-// duplicate_in_flight the client retries (sync). With a StateDir the index
-// is journaled, so replays across a restart dedup too.
+// re-sending a POST, an OfflineQueue replay after a crash, a response torn
+// mid-body by the network — can deliver the same capture twice, and a
+// re-analyzed duplicate double-counts a patient's diagnostic record. The
+// service therefore keys every upload by a capture key — the client's
+// Idempotency-Key header, falling back to the SHA-256 digest of the payload
+// — and keeps an index from key to the work it owns. A duplicate of
+// completed work returns the original analysis; a duplicate of in-flight
+// work returns the owning job (async) or a 409 duplicate_in_flight the
+// client retries (sync). With a StateDir the index is journaled, so replays
+// across a restart dedup too.
 //
 // The guarantee is exactly-once *success* on top of at-least-once attempts:
 // a capture whose analysis failed terminally releases its key so a retry can

@@ -2,9 +2,7 @@ package devicelink
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -14,9 +12,7 @@ import (
 	"testing"
 	"time"
 
-	"medsen/internal/accessory"
 	"medsen/internal/cloud"
-	"medsen/internal/csvio"
 	"medsen/internal/drbg"
 	"medsen/internal/lockin"
 	"medsen/internal/microfluidic"
@@ -296,146 +292,6 @@ func TestPhoneDaemonValidation(t *testing.T) {
 	}
 }
 
-// noisyConn flips a payload byte in a fraction of writes.
-type noisyConn struct {
-	net.Conn
-	mu     sync.Mutex
-	writeN int
-}
-
-func (c *noisyConn) Write(p []byte) (int, error) {
-	c.mu.Lock()
-	n := c.writeN
-	c.writeN++
-	c.mu.Unlock()
-	if n > 0 && n%4 == 0 && len(p) > 16 {
-		clone := append([]byte(nil), p...)
-		clone[12] ^= 0xFF
-		return c.Conn.Write(clone)
-	}
-	return c.Conn.Write(p)
-}
-
-func TestReliableLinkSurvivesNoisyCable(t *testing.T) {
-	relay := newRelay(t)
-	acq := testAcquisition(t)
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	type phoneResult struct {
-		id  string
-		err error
-	}
-	phoneCh := make(chan phoneResult, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			phoneCh <- phoneResult{"", err}
-			return
-		}
-		defer conn.Close()
-		id, err := PhoneServeReliable(context.Background(), conn, relay)
-		phoneCh <- phoneResult{id, err}
-	}()
-
-	raw, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Close()
-	device := &noisyConn{Conn: raw}
-
-	var progress []string
-	report, err := DeviceSendReliable(device, acq, func(s string) { progress = append(progress, s) })
-	if err != nil {
-		t.Fatalf("DeviceSendReliable: %v", err)
-	}
-	pr := <-phoneCh
-	if pr.err != nil {
-		t.Fatalf("PhoneServeReliable: %v", pr.err)
-	}
-	if report.PeakCount == 0 || pr.id == "" {
-		t.Fatalf("report=%d id=%q", report.PeakCount, pr.id)
-	}
-	// The payload is several frames; every 4th write corrupted — at
-	// least one retransmission must have been reported.
-	sawRetrans := false
-	for _, s := range progress {
-		if strings.Contains(s, "retransmitted") {
-			sawRetrans = true
-		}
-	}
-	if !sawRetrans {
-		t.Logf("progress: %v", progress)
-	}
-	// The stored report matches what the device received.
-	stored, err := relay.Client.GetReport(context.Background(), pr.id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stored.PeakCount != report.PeakCount {
-		t.Fatalf("report mismatch: %d vs %d", stored.PeakCount, report.PeakCount)
-	}
-}
-
-func TestReliableLinkValidation(t *testing.T) {
-	if _, err := PhoneServeReliable(context.Background(), nil, nil); err == nil {
-		t.Error("expected error for nil relay")
-	}
-	if _, err := PhoneServeReliable(context.Background(), nil, &phone.Relay{}); err == nil {
-		t.Error("expected error for relay without client")
-	}
-	// Handshake failure on the device side.
-	deviceEnd, phoneEnd := net.Pipe()
-	defer deviceEnd.Close()
-	defer phoneEnd.Close()
-	go func() {
-		buf := make([]byte, 256)
-		_, _ = phoneEnd.Read(buf)
-		_, _ = phoneEnd.Write([]byte("garbage-that-is-not-a-frame!"))
-	}()
-	if _, err := DeviceSendReliable(deviceEnd, testAcquisition(t), nil); err == nil {
-		t.Error("expected handshake error")
-	}
-}
-
-func TestReliableLinkPropagatesCloudFailure(t *testing.T) {
-	relay := &phone.Relay{
-		Client: &cloud.Client{BaseURL: "http://127.0.0.1:1"},
-		Uplink: phone.Default4G(),
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	phoneCh := make(chan error, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			phoneCh <- err
-			return
-		}
-		defer conn.Close()
-		_, err = PhoneServeReliable(context.Background(), conn, relay)
-		phoneCh <- err
-	}()
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := DeviceSendReliable(conn, testAcquisition(t), nil); err == nil {
-		t.Error("device should see the upload failure")
-	}
-	if err := <-phoneCh; err == nil {
-		t.Error("phone should report the failure")
-	}
-}
-
 func TestLinkedAnalyzerValidation(t *testing.T) {
 	a := &LinkedAnalyzer{}
 	if _, err := a.Analyze(context.Background(), lockin.Acquisition{}); err == nil {
@@ -447,79 +303,4 @@ func TestLinkedAnalyzerValidation(t *testing.T) {
 	if _, err := a.Analyze(context.Background(), lockin.Acquisition{}); err == nil {
 		t.Error("expected dial error to propagate")
 	}
-}
-
-// DeviceSendReliable and PhoneServeReliable run the exchange over
-// accessory's ARQ channel. No binary carries a capture over it yet (ROADMAP
-// records the open decision), so they live beside the tests that drive them
-// over a noisy cable.
-
-// DeviceSendReliable is DeviceSend over the ARQ channel: measurement chunks
-// and the returned report are sequence-numbered, CRC-NACK-retransmitted and
-// resynchronized, so a noisy cable costs retransmissions instead of a failed
-// test. The transport must be buffered (see accessory's reliable-channel
-// notes).
-func DeviceSendReliable(rw io.ReadWriter, acq lockin.Acquisition, progress func(string)) (cloud.Report, error) {
-	conn, err := accessory.Handshake(rw, accessory.DefaultIdentity())
-	if err != nil {
-		return cloud.Report{}, fmt.Errorf("devicelink: handshake: %w", err)
-	}
-	if progress != nil {
-		progress("compressing measurements")
-	}
-	payload, err := csvio.CompressAcquisition(acq)
-	if err != nil {
-		return cloud.Report{}, err
-	}
-	_, retrans, err := conn.SendDataReliable(payload, 0)
-	if err != nil {
-		return cloud.Report{}, fmt.Errorf("devicelink: sending measurements: %w", err)
-	}
-	if progress != nil && retrans > 0 {
-		progress(fmt.Sprintf("link noise: %d chunks retransmitted", retrans))
-	}
-	reportJSON, _, err := conn.ReceiveDataReliable(progress)
-	if err != nil {
-		return cloud.Report{}, fmt.Errorf("devicelink: receiving report: %w", err)
-	}
-	var report cloud.Report
-	if err := json.Unmarshal(reportJSON, &report); err != nil {
-		return cloud.Report{}, fmt.Errorf("devicelink: decoding report: %w", err)
-	}
-	return report, nil
-}
-
-// PhoneServeReliable is PhoneServe over the ARQ channel.
-func PhoneServeReliable(ctx context.Context, rw io.ReadWriter, relay *phone.Relay) (string, error) {
-	if relay == nil || relay.Client == nil {
-		return "", errors.New("devicelink: phone relay not configured")
-	}
-	phoneID := accessory.Identity{Manufacturer: "Google", Model: "Nexus 5", Version: "Android 4.4"}
-	conn, err := accessory.Handshake(rw, phoneID)
-	if err != nil {
-		return "", fmt.Errorf("devicelink: handshake: %w", err)
-	}
-	payload, _, err := conn.ReceiveDataReliable(relay.Progress)
-	if err != nil {
-		return "", fmt.Errorf("devicelink: receiving measurements: %w", err)
-	}
-	if _, err := relay.Uplink.TransferContext(ctx, len(payload)); err != nil {
-		return "", fmt.Errorf("devicelink: uplink: %w", err)
-	}
-	sub, err := relay.Submit(ctx, payload)
-	if err != nil {
-		_ = accessory.WriteFrame(rw, accessory.Frame{
-			Type:    accessory.FrameError,
-			Payload: []byte(err.Error()),
-		})
-		return "", err
-	}
-	reportJSON, err := json.Marshal(sub.Report)
-	if err != nil {
-		return "", fmt.Errorf("devicelink: encoding report: %w", err)
-	}
-	if _, _, err := conn.SendDataReliable(reportJSON, 0); err != nil {
-		return "", fmt.Errorf("devicelink: returning report: %w", err)
-	}
-	return sub.ID, nil
 }

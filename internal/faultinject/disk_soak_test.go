@@ -47,22 +47,6 @@ type ackedCapture struct {
 	reference string
 }
 
-// diskSoakReference acquires one capture and computes its fault-free
-// reference analysis, marshaled to the exact JSON the API serves.
-func diskSoakReference(t *testing.T, seed uint64) (payload []byte, reference string) {
-	t.Helper()
-	acq, p := soakCapture(t, seed)
-	report, err := cloud.Analyze(acq, cloud.DefaultAnalysisConfig())
-	if err != nil {
-		t.Fatalf("reference analysis: %v", err)
-	}
-	ref, err := json.Marshal(report)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p, string(ref)
-}
-
 func runDiskChaosSoak(t *testing.T, seed int64) {
 	lives := 3
 	capturesPerLife := 2
@@ -169,7 +153,7 @@ func runDiskChaosSoak(t *testing.T, seed int64) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				payload, reference := diskSoakReference(t, uint64(seed)*1000+uint64(n))
+				payload, reference := soakReference(t, uint64(seed)*1000+uint64(n))
 				client := &cloud.Client{
 					BaseURL: ts.URL,
 					Retry:   &cloud.RetryPolicy{MaxAttempts: 8, BaseDelay: 5 * time.Millisecond},
@@ -211,7 +195,7 @@ func runDiskChaosSoak(t *testing.T, seed int64) {
 		// the same capture lands — exactly once under its key.
 		if life == 0 {
 			captureSeq++
-			payload, reference := diskSoakReference(t, uint64(seed)*1000+uint64(captureSeq))
+			payload, reference := soakReference(t, uint64(seed)*1000+uint64(captureSeq))
 			key := cloud.CaptureKey(payload)
 			noRetry := &cloud.Client{BaseURL: ts.URL}
 
@@ -263,25 +247,9 @@ func runDiskChaosSoak(t *testing.T, seed int64) {
 	ts := httptest.NewServer(svc.Handler())
 	t.Cleanup(ts.Close)
 	t.Cleanup(svc.Close)
-	clean := &cloud.Client{BaseURL: ts.URL}
-	list, err := clean.ListAnalyses(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stored := make(map[string]int)
-	for _, sum := range list {
-		report, err := clean.GetReport(ctx, sum.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := json.Marshal(report)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stored[string(data)]++
-	}
-	if dedupJournalErrs == 0 && len(list) != len(acked) {
-		t.Fatalf("final state holds %d analyses, want exactly %d (one per acked capture)", len(list), len(acked))
+	stored, total := storedReports(t, ts.URL)
+	if dedupJournalErrs == 0 && total != len(acked) {
+		t.Fatalf("final state holds %d analyses, want exactly %d (one per acked capture)", total, len(acked))
 	}
 	for i, a := range acked {
 		n := stored[a.reference]

@@ -1,27 +1,27 @@
-// Package faultinject is a seeded, deterministic fault-injection toolkit for
-// the untrusted seams of the MedSen chain (§II, §VI-D): the accessory cable
-// between controller and phone, the phone's and cloud's spool/journal disks,
-// and the cellular HTTP path to the analysis service. The threat model says
-// these links may fail or misbehave without losing a capture — "the patient
+// Package faultinject is a seeded fault-injection toolkit for the untrusted
+// seams of the MedSen chain (§II, §VI-D): the phone's and cloud's
+// spool/journal disks, the cellular HTTP path to the analysis service, and
+// the worker fleet behind the service's lease queue. The threat model says
+// these seams may fail or misbehave without losing a capture — "the patient
 // cannot re-bleed" — so the chaos tests wrap each seam in one of these
 // injectors and assert the pipeline still delivers every report bit-exact.
 //
 // Three injectors cover the three seams:
 //
-//   - ReadWriter mangles a byte stream (bit flips, silent drops, short
-//     writes, stalls, mid-stream close) — the flaky USB cable under the
-//     accessory ARQ channel.
 //   - FaultyFS wraps an FS (write errors, short writes, read errors, slow
 //     syncs) — the slow or failing disk under the cloud store/journal and
 //     the phone OfflineQueue.
 //   - RoundTripper wraps an http.RoundTripper (connection resets, injected
 //     5xx, truncated bodies, latency) — the dropped 4G link under
 //     cloud.Client.
+//   - WorkerChaos kills or stalls a lease worker mid-job.
 //
 // Every injector draws from its own seeded generator, so a fault schedule
-// replays identically for the same seed and call sequence, and every rate
-// can be bounded by a MaxFaults budget so a test provably terminates: once
-// the budget is spent the injector becomes a transparent passthrough.
+// replays identically for the same seed and call sequence. Under concurrent
+// callers the call sequence follows goroutine scheduling, so one seed can
+// inject different faults on different runs. Every rate can be bounded by a
+// MaxFaults budget so a test provably terminates: once the budget is spent
+// the injector becomes a transparent passthrough.
 package faultinject
 
 import (

@@ -63,7 +63,8 @@ func (OSFS) WriteFileSync(name string, data []byte, perm fs.FileMode) error {
 
 // FSConfig configures a FaultyFS. The zero value injects nothing.
 type FSConfig struct {
-	// Seed pins the fault schedule (see RWConfig.Seed).
+	// Seed pins the fault schedule: two injectors with the same seed and
+	// the same call sequence inject identical faults.
 	Seed int64
 	// WriteErrRate fails WriteFile before any byte reaches the disk.
 	WriteErrRate float64

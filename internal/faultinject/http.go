@@ -12,7 +12,8 @@ import (
 // HTTPConfig configures a faulty RoundTripper. The zero value injects
 // nothing.
 type HTTPConfig struct {
-	// Seed pins the fault schedule (see RWConfig.Seed).
+	// Seed pins the fault schedule: two injectors with the same seed and
+	// the same call sequence inject identical faults.
 	Seed int64
 	// ResetRate fails the request before it reaches the server — a
 	// connection reset or refused dial. The server never sees it, so a

@@ -1,6 +1,5 @@
-// Chaos soak: the full controller→accessory→phone→cloud chain run under a
-// seeded fault schedule on every seam at once — bit flips and drops on the
-// accessory cable, resets, injected 5xx and truncated bodies on the HTTP
+// Chaos soak: the phone→cloud chain run under a seeded fault schedule on
+// every seam at once — resets, injected 5xx and truncated bodies on the HTTP
 // path, write errors and torn files under the cloud journal — asserting the
 // paper's end-to-end invariant: no capture is ever lost, and every stored
 // report is bitwise identical to the fault-free analysis of the same
@@ -8,11 +7,9 @@
 package faultinject_test
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -26,12 +23,12 @@ import (
 	"medsen/internal/microfluidic"
 	"medsen/internal/phone"
 	"medsen/internal/sensor"
-
-	"medsen/internal/accessory"
 )
 
-// soakCapture acquires one low-noise capture and its compressed payload.
-func soakCapture(t *testing.T, seed uint64) (lockin.Acquisition, []byte) {
+// soakReference acquires one low-noise capture and returns its compressed
+// payload and its fault-free reference analysis, marshaled to the exact JSON
+// the API stores and serves.
+func soakReference(t *testing.T, seed uint64) (payload []byte, reference string) {
 	t.Helper()
 	s := sensor.NewDefault()
 	s.Lockin.NoiseSigma = 0.0001
@@ -44,125 +41,65 @@ func soakCapture(t *testing.T, seed uint64) (lockin.Acquisition, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := csvio.CompressAcquisition(res.Acquisition)
+	payload, err = csvio.CompressAcquisition(res.Acquisition)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Acquisition, payload
+	report, err := cloud.Analyze(res.Acquisition, cloud.DefaultAnalysisConfig())
+	if err != nil {
+		t.Fatalf("reference analysis: %v", err)
+	}
+	ref, err := json.Marshal(report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return payload, string(ref)
 }
 
-// tryAccessoryTransfer runs one device→phone ARQ transfer over a TCP
-// loopback whose device end is wrapped in a seeded faulty ReadWriter.
-// Connection deadlines bound the worst case (a fault pattern that deadlocks
-// the ARQ conversation) so the caller can retry with a fresh seed.
-func tryAccessoryTransfer(cfg faultinject.RWConfig, payload []byte) ([]byte, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	defer ln.Close()
-	dialCh := make(chan net.Conn, 1)
-	go func() {
-		c, _ := net.Dial("tcp", ln.Addr().String())
-		dialCh <- c
-	}()
-	phoneEnd, err := ln.Accept()
-	if err != nil {
-		return nil, err
-	}
-	defer phoneEnd.Close()
-	deviceEnd := <-dialCh
-	if deviceEnd == nil {
-		return nil, fmt.Errorf("dial failed")
-	}
-	defer deviceEnd.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	_ = deviceEnd.SetDeadline(deadline)
-	_ = phoneEnd.SetDeadline(deadline)
-
-	// The wrapper sits on the device end, so both directions of the ARQ
-	// conversation — data frames out, acks back — cross the faulty cable.
-	faulty := faultinject.NewReadWriter(deviceEnd, cfg)
-
-	type recvResult struct {
-		data []byte
-		err  error
-	}
-	recvCh := make(chan recvResult, 1)
-	go func() {
-		conn, err := accessory.Handshake(phoneEnd, accessory.Identity{Manufacturer: "Google", Model: "Nexus 5", Version: "4.4"})
-		if err != nil {
-			recvCh <- recvResult{nil, err}
-			return
-		}
-		data, _, err := conn.ReceiveDataReliable(nil)
-		recvCh <- recvResult{data, err}
-	}()
-	device, err := accessory.Handshake(faulty, accessory.DefaultIdentity())
-	if err != nil {
-		<-recvCh
-		return nil, fmt.Errorf("device handshake: %w", err)
-	}
-	if _, _, err := device.SendDataReliable(payload, 64); err != nil {
-		<-recvCh
-		return nil, fmt.Errorf("send: %w", err)
-	}
-	r := <-recvCh
-	if r.err != nil {
-		return nil, fmt.Errorf("receive: %w", r.err)
-	}
-	return r.data, nil
-}
-
-// accessoryTransfer retries the faulty-link transfer with per-attempt seeds
-// until the payload crosses intact — the device's whole-capture retry over a
-// fresh connection, as a real dongle would reconnect after a dead cable.
-//
-// The per-attempt fault mix respects the ARQ layer's documented limitation
-// (reliable.go): over a blocking byte stream with no read deadline, a fault
-// that shortens the stream — a dropped byte, a truncated write — strands the
-// receiver mid-frame with no fresh bytes coming, which only the connection
-// deadline can break. So the first attempt injects exactly that worst case
-// as a deterministic mid-stream close (exercising the reconnect-and-resend
-// path), and later attempts inject length-preserving bit flips, which the
-// CRC + NACK + retransmit machinery recovers in-stream. Byte drops and
-// short writes are exercised against the raw injector in the unit tests.
-func accessoryTransfer(t *testing.T, seed int64, capture int, payload []byte) []byte {
+// storedReports fetches every analysis the service at baseURL stores,
+// through a clean client, and counts them by their report JSON.
+func storedReports(t *testing.T, baseURL string) (byReport map[string]int, total int) {
 	t.Helper()
-	const maxAttempts = 8
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		cfg := faultinject.RWConfig{
-			Seed:       seed*1009 + int64(capture)*101 + int64(attempt),
-			CleanBytes: 256,
-		}
-		if attempt == 0 {
-			// The cable dies halfway through the first try, every time.
-			cfg.CloseAfter = 256 + len(payload)/2
-		} else {
-			cfg.BitFlipRate = 0.0005
-			cfg.MaxFaults = 8
-		}
-		got, err := tryAccessoryTransfer(cfg, payload)
-		if err != nil {
-			t.Logf("capture %d attempt %d: %v", capture, attempt, err)
-			continue
-		}
-		if !bytes.Equal(got, payload) {
-			// The ARQ layer returned success with wrong bytes: that is a
-			// protocol bug, not bad luck — fail immediately.
-			t.Fatalf("capture %d attempt %d: ARQ delivered %d bytes, want %d, content mismatch",
-				capture, attempt, len(got), len(payload))
-		}
-		return got
+	ctx := context.Background()
+	clean := &cloud.Client{BaseURL: baseURL}
+	list, err := clean.ListAnalyses(ctx)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatalf("capture %d never crossed the accessory link in %d attempts", capture, maxAttempts)
-	return nil
+	byReport = make(map[string]int)
+	for _, sum := range list {
+		report, err := clean.GetReport(ctx, sum.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.Marshal(report)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byReport[string(data)]++
+	}
+	return byReport, len(list)
+}
+
+// requireExactlyOnce checks the soaks' end-to-end invariant: zero capture
+// loss and exactly one stored analysis per reference, bitwise equal to it.
+func requireExactlyOnce(t *testing.T, baseURL string, references []string) {
+	t.Helper()
+	stored, total := storedReports(t, baseURL)
+	if total != len(references) {
+		t.Fatalf("cloud stores %d analyses, want exactly %d", total, len(references))
+	}
+	for i, ref := range references {
+		if n := stored[ref]; n != 1 {
+			t.Errorf("capture %d: %d stored reports bitwise identical to the fault-free analysis, want exactly 1", i, n)
+		}
+	}
 }
 
 // TestChaosSoak is the acceptance soak (ROADMAP: seeded fault-injection
-// harness). Three fixed seeds, each a full pipeline run under faults on
-// every seam; must pass under -race with zero capture loss and bitwise
-// report fidelity.
+// harness). Three fixed seeds, each a phone→cloud run under HTTP and
+// journal-disk faults at once; must pass under -race with zero capture loss
+// and bitwise report fidelity.
 func TestChaosSoak(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		seed := seed
@@ -180,24 +117,10 @@ func runChaosSoak(t *testing.T, seed int64) {
 	}
 	ctx := context.Background()
 
-	// Reference run: the fault-free analysis of each capture, marshaled to
-	// the exact JSON the API stores and serves.
-	type capturePair struct {
-		payload   []byte
-		reference string
-	}
-	pairs := make([]capturePair, captures)
-	for i := range pairs {
-		acq, payload := soakCapture(t, uint64(seed)*100+uint64(i))
-		report, err := cloud.Analyze(acq, cloud.DefaultAnalysisConfig())
-		if err != nil {
-			t.Fatalf("reference analysis %d: %v", i, err)
-		}
-		ref, err := json.Marshal(report)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pairs[i] = capturePair{payload: payload, reference: string(ref)}
+	payloads := make([][]byte, captures)
+	references := make([]string, captures)
+	for i := range payloads {
+		payloads[i], references[i] = soakReference(t, uint64(seed)*100+uint64(i))
 	}
 
 	// Cloud service over a faulty journal disk: write errors and torn files,
@@ -221,8 +144,8 @@ func runChaosSoak(t *testing.T, seed int64) {
 	t.Cleanup(ts.Close)
 	t.Cleanup(svc.Close)
 
-	// Phone relay over a faulty 4G link, with the circuit breaker and the
-	// offline spool between them and the service.
+	// Phone relay over a faulty 4G link, with the offline spool between it
+	// and the service.
 	rt := faultinject.NewRoundTripper(nil, faultinject.HTTPConfig{
 		Seed:         seed,
 		ResetRate:    0.3,
@@ -236,21 +159,16 @@ func runChaosSoak(t *testing.T, seed int64) {
 			HTTPClient:     &http.Client{Transport: rt},
 			AttemptTimeout: 10 * time.Second,
 		},
-		Breaker: &phone.Breaker{Threshold: 2, Cooldown: 50 * time.Millisecond},
 	}
 	queue := &phone.OfflineQueue{Dir: t.TempDir()}
 
 	spooled := 0
-	for i, pair := range pairs {
-		// Device → phone across the faulty cable.
-		received := accessoryTransfer(t, seed, i, pair.payload)
-		// Phone → cloud across the faulty 4G link; a failed upload spools,
-		// it never loses the capture.
-		_, queued, err := relay.SubmitOrSpool(ctx, received, queue)
-		if err != nil {
-			t.Fatalf("capture %d: both upload and spool failed: %v", i, err)
-		}
-		if queued {
+	for i, payload := range payloads {
+		// A failed upload spools; it never loses the capture.
+		if _, err := relay.Submit(ctx, payload); err != nil {
+			if _, err := queue.Enqueue(payload); err != nil {
+				t.Fatalf("capture %d: both upload and spool failed: %v", i, err)
+			}
 			spooled++
 		}
 	}
@@ -283,36 +201,10 @@ func runChaosSoak(t *testing.T, seed int64) {
 		t.Fatalf("captures parked as corrupt: %v", parked)
 	}
 
-	// Verification through a clean client: exactly one stored analysis per
-	// logical capture, each bitwise identical to the fault-free reference.
 	// Ambiguous retries — a response torn mid-body, a replay from the spool —
 	// dedup on the payload digest, so "better twice than never" tightened to
 	// exactly-once the moment the index landed.
-	clean := &cloud.Client{BaseURL: ts.URL}
-	list, err := clean.ListAnalyses(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stored := make(map[string]int)
-	for _, sum := range list {
-		report, err := clean.GetReport(ctx, sum.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := json.Marshal(report)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stored[string(data)]++
-	}
-	if len(list) != captures {
-		t.Fatalf("cloud stores %d analyses, want exactly %d", len(list), captures)
-	}
-	for i, pair := range pairs {
-		if n := stored[pair.reference]; n != 1 {
-			t.Errorf("capture %d: %d stored reports bitwise identical to the fault-free analysis, want exactly 1", i, n)
-		}
-	}
+	requireExactlyOnce(t, ts.URL, references)
 }
 
 // TestDuplicateStormSoak hammers the dedup index from the client side: many
@@ -330,15 +222,7 @@ func TestDuplicateStormSoak(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	acq, payload := soakCapture(t, 4242)
-	reference, err := cloud.Analyze(acq, cloud.DefaultAnalysisConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	refJSON, err := json.Marshal(reference)
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload, reference := soakReference(t, 4242)
 
 	svc, err := cloud.NewService(cloud.ServiceConfig{
 		StateDir: t.TempDir(),
@@ -419,25 +303,7 @@ func TestDuplicateStormSoak(t *testing.T) {
 	}
 
 	// Exactly one analysis stored, bitwise identical to the reference.
-	clean := &cloud.Client{BaseURL: ts.URL}
-	list, err := clean.ListAnalyses(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(list) != 1 {
-		t.Fatalf("cloud stores %d analyses after the storm, want exactly 1", len(list))
-	}
-	report, err := clean.GetReport(ctx, list[0].ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := json.Marshal(report)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, refJSON) {
-		t.Fatal("stored report diverged from the fault-free reference analysis")
-	}
+	requireExactlyOnce(t, ts.URL, []string{reference})
 
 	m := svc.Snapshot()
 	if m.DedupHits == 0 {

@@ -32,7 +32,7 @@ type WorkerChaosConfig struct {
 }
 
 // WorkerChaos decides, per leased job, whether the worker holding the lease
-// dies or stalls mid-job — the fourth seam of the chain: the analysis worker
+// dies or stalls mid-job — the third seam of the chain: the analysis worker
 // fleet behind the frontend's lease queue. The decision function plugs into
 // workqueue.Config.FaultHook; like every injector here the schedule is
 // seeded and budget-bounded, so a chaos soak replays identically and

@@ -10,7 +10,6 @@ package faultinject_test
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http/httptest"
@@ -49,23 +48,10 @@ func runWorkerChaosSoak(t *testing.T, seed int64) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 
-	// Fault-free references, marshaled to the exact JSON the API stores.
-	type capturePair struct {
-		payload   []byte
-		reference string
-	}
-	pairs := make([]capturePair, captures)
-	for i := range pairs {
-		acq, payload := soakCapture(t, uint64(seed)*1000+uint64(i))
-		report, err := cloud.Analyze(acq, cloud.DefaultAnalysisConfig())
-		if err != nil {
-			t.Fatalf("reference analysis %d: %v", i, err)
-		}
-		ref, err := json.Marshal(report)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pairs[i] = capturePair{payload: payload, reference: string(ref)}
+	payloads := make([][]byte, captures)
+	references := make([]string, captures)
+	for i := range payloads {
+		payloads[i], references[i] = soakReference(t, uint64(seed)*1000+uint64(i))
 	}
 
 	// Frontend in lease-queue mode: no in-process pool, a short TTL so an
@@ -146,7 +132,7 @@ func runWorkerChaosSoak(t *testing.T, seed int64) {
 	// to a stored analysis, however many leases it burns on the way.
 	var submitWG sync.WaitGroup
 	ids := make([]string, captures)
-	for i, pair := range pairs {
+	for i, payload := range payloads {
 		submitWG.Add(1)
 		go func(i int, payload []byte) {
 			defer submitWG.Done()
@@ -158,7 +144,7 @@ func runWorkerChaosSoak(t *testing.T, seed int64) {
 				return
 			}
 			ids[i] = sub.ID
-		}(i, pair.payload)
+		}(i, payload)
 	}
 	submitWG.Wait()
 	if t.Failed() {
@@ -187,33 +173,7 @@ func runWorkerChaosSoak(t *testing.T, seed int64) {
 		t.Errorf("%d jobs poisoned under an unbounded attempt budget", m.JobsPoisoned)
 	}
 
-	// Zero capture loss, exactly one stored analysis per capture, bitwise
-	// identical to the fault-free reference.
-	clean := &cloud.Client{BaseURL: ts.URL}
-	list, err := clean.ListAnalyses(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(list) != captures {
-		t.Fatalf("cloud stores %d analyses, want exactly %d", len(list), captures)
-	}
-	stored := make(map[string]int)
-	for _, sum := range list {
-		report, err := clean.GetReport(ctx, sum.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := json.Marshal(report)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stored[string(data)]++
-	}
-	for i, pair := range pairs {
-		if n := stored[pair.reference]; n != 1 {
-			t.Errorf("capture %d: %d stored reports bitwise identical to the fault-free analysis, want exactly 1", i, n)
-		}
-	}
+	requireExactlyOnce(t, ts.URL, references)
 	t.Logf("seed %d: %d faults (%d kills), %d lease expirations, %d reclaims, %d attempts journaled",
 		seed, chaos.Injected(), kills.Load(), m.LeaseExpirations, m.JobsReclaimed, m.JobsEnqueued)
 }

@@ -134,8 +134,7 @@ type Result struct {
 	LatencyP99 time.Duration `json:"latency_p99_ns"`
 	LatencyMax time.Duration `json:"latency_max_ns"`
 
-	// Relay aggregates the fleet's phone-side counters (breaker state is
-	// the last device's — meaningful only for single-device runs).
+	// Relay aggregates the fleet's phone-side counters.
 	Relay phone.RelayMetrics `json:"relay"`
 
 	// Server holds the service-side counter deltas across the run when
@@ -301,9 +300,6 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 			}
 			relay.LiveSubmits += m.LiveSubmits
 			relay.SubmitFailures += m.SubmitFailures
-			relay.Spooled += m.Spooled
-			relay.BacklogFlushed += m.BacklogFlushed
-			relay.BreakerState = m.BreakerState
 			mu.Unlock()
 		}(dev)
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"medsen/internal/audit"
 	"medsen/internal/auth"
@@ -119,51 +118,5 @@ func TestSpoolFlushAuthenticates(t *testing.T) {
 		if r.Owner != "alice" {
 			t.Fatalf("flushed analysis owned by %q", r.Owner)
 		}
-	}
-}
-
-// TestBreakerRecoveryFlushAuthenticates: the breaker's backlog flush on
-// recovery is the third relay upload path — it too must carry the key. An
-// unauthenticated relay trips the breaker and spools; once the key is set,
-// the next live success drains the backlog through the authenticated client.
-func TestBreakerRecoveryFlushAuthenticates(t *testing.T) {
-	url, secret := authedCloud(t, "alice")
-	ctx := context.Background()
-	q := &OfflineQueue{Dir: t.TempDir()}
-	relay := &Relay{
-		Client:  &cloud.Client{BaseURL: url}, // key deliberately absent
-		Uplink:  Default4G(),
-		Breaker: &Breaker{Threshold: 1, Cooldown: time.Nanosecond},
-	}
-
-	payload1, err := csvio.CompressAcquisition(testAcquisitionSeeded(t, 213))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub, queued, err := relay.SubmitOrSpool(ctx, payload1, q)
-	if err != nil || !queued {
-		t.Fatalf("unauthenticated submit: queued=%v err=%v sub=%+v", queued, err, sub)
-	}
-	if relay.Breaker.State() != BreakerOpen {
-		t.Fatalf("breaker state %v after auth failure, want open", relay.Breaker.State())
-	}
-
-	// Credential installed; the nanosecond cooldown has long elapsed, so the
-	// next capture is the half-open probe — it goes live and drags the
-	// spooled one with it.
-	relay.Client.APIKey = secret
-	payload2, err := csvio.CompressAcquisition(testAcquisitionSeeded(t, 214))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub, queued, err = relay.SubmitOrSpool(ctx, payload2, q)
-	if err != nil || queued || sub.ID == "" {
-		t.Fatalf("recovered submit: queued=%v err=%v sub=%+v", queued, err, sub)
-	}
-	if pending, _ := q.Pending(); len(pending) != 0 {
-		t.Fatalf("backlog not flushed on recovery: %v", pending)
-	}
-	if got := relay.Metrics().BacklogFlushed; got != 1 {
-		t.Fatalf("BacklogFlushed = %d, want 1", got)
 	}
 }

@@ -43,15 +43,9 @@ func TestSubmitKeyedForcesDistinctAnalyses(t *testing.T) {
 }
 
 // TestRelayMetricsWritePrometheus pins the relay-side metric families and
-// the one-hot breaker rendering.
+// the extra labels stamped on every sample.
 func TestRelayMetricsWritePrometheus(t *testing.T) {
-	m := RelayMetrics{
-		LiveSubmits:    5,
-		SubmitFailures: 2,
-		Spooled:        3,
-		BacklogFlushed: 1,
-		BreakerState:   BreakerOpen.String(),
-	}
+	m := RelayMetrics{LiveSubmits: 5, SubmitFailures: 2}
 	var buf bytes.Buffer
 	pw := promexp.NewWriter(&buf)
 	m.WritePrometheus(pw, "device", "d7")
@@ -62,11 +56,12 @@ func TestRelayMetricsWritePrometheus(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Parse: %v\n%s", err, buf.String())
 	}
+	if len(fams) != 2 {
+		t.Fatalf("got %d families, want 2:\n%s", len(fams), buf.String())
+	}
 	for name, want := range map[string]float64{
 		"medsen_relay_live_submits_total":    5,
 		"medsen_relay_submit_failures_total": 2,
-		"medsen_relay_spooled_total":         3,
-		"medsen_relay_backlog_flushed_total": 1,
 	} {
 		f := fams[name]
 		if f == nil || f.Type != promexp.TypeCounter {
@@ -74,22 +69,6 @@ func TestRelayMetricsWritePrometheus(t *testing.T) {
 		}
 		if f.Samples[0].Value != want || f.Samples[0].Labels["device"] != "d7" {
 			t.Fatalf("family %s sample = %+v", name, f.Samples[0])
-		}
-	}
-	br := fams["medsen_relay_breaker_state"]
-	if br == nil || br.Type != promexp.TypeGauge || len(br.Samples) != 3 {
-		t.Fatalf("breaker family = %+v", br)
-	}
-	for _, s := range br.Samples {
-		want := 0.0
-		if s.Labels["state"] == "open" {
-			want = 1
-		}
-		if s.Value != want {
-			t.Fatalf("breaker state %q = %v, want %v", s.Labels["state"], s.Value, want)
-		}
-		if s.Labels["device"] != "d7" {
-			t.Fatalf("breaker sample lost the extra label: %+v", s)
 		}
 	}
 }

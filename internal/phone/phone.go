@@ -94,81 +94,41 @@ type Relay struct {
 	Async bool
 	// PollInterval paces async status polls (0 → the client default).
 	PollInterval time.Duration
-	// Breaker, when non-nil, short-circuits the live-upload path in
-	// SubmitOrSpool: after repeated failures captures spool directly to
-	// the offline queue without paying a transfer plus a timeout each,
-	// and a half-open probe after the cooldown restores live uploads.
-	Breaker *Breaker
 
-	// Counters behind Metrics, updated atomically (a relay is shared
-	// between the accessory daemon and flush paths).
+	// Counters behind Metrics, updated atomically (the phone daemon serves
+	// concurrent accessory sessions through one relay).
 	liveSubmits    int64
 	submitFailures int64
-	spooled        int64
-	backlogFlushed int64
 }
 
-// RelayMetrics is a point-in-time snapshot of the relay's upload counters
-// and circuit-breaker state, the phone-side counterpart of the cloud
-// service's /metrics document.
+// RelayMetrics is a point-in-time snapshot of the relay's upload counters,
+// the phone-side counterpart of the cloud service's /metrics document.
 type RelayMetrics struct {
 	// LiveSubmits counts captures delivered over the live path (including
 	// async submit-and-poll completions).
 	LiveSubmits int64 `json:"live_submits"`
 	// SubmitFailures counts live submissions that returned an error.
 	SubmitFailures int64 `json:"submit_failures"`
-	// Spooled counts captures diverted to the offline queue.
-	Spooled int64 `json:"spooled"`
-	// BacklogFlushed counts spooled captures later shipped by the
-	// post-recovery flush inside SubmitOrSpool.
-	BacklogFlushed int64 `json:"backlog_flushed"`
-	// BreakerState is "closed", "open" or "half-open" ("closed" when the
-	// relay has no breaker: the live path is always admitted).
-	BreakerState string `json:"breaker_state"`
 }
 
-// Metrics returns a snapshot of the relay's counters and breaker state.
+// Metrics returns a snapshot of the relay's counters.
 func (r *Relay) Metrics() RelayMetrics {
-	m := RelayMetrics{
+	return RelayMetrics{
 		LiveSubmits:    atomic.LoadInt64(&r.liveSubmits),
 		SubmitFailures: atomic.LoadInt64(&r.submitFailures),
-		Spooled:        atomic.LoadInt64(&r.spooled),
-		BacklogFlushed: atomic.LoadInt64(&r.backlogFlushed),
-		BreakerState:   BreakerClosed.String(),
 	}
-	if r.Breaker != nil {
-		m.BreakerState = r.Breaker.State().String()
-	}
-	return m
 }
 
-// WritePrometheus appends the relay's counters and breaker state to a
-// Prometheus exposition, the phone-side families next to the cloud's
-// medsen_* set. The breaker state renders one-hot — one sample per state,
-// value 1 on the current one — so dashboards can plot transitions without
-// decoding an enum. labels are extra name/value pairs stamped on every
-// sample (e.g. a loadgen device id); aggregating exporters that merge many
-// relays must pass distinct labels or emit one merged snapshot.
+// WritePrometheus appends the relay's counters to a Prometheus exposition,
+// the phone-side families next to the cloud's medsen_* set. labels are extra
+// name/value pairs stamped on every sample (e.g. a loadgen device id);
+// aggregating exporters that merge many relays must pass distinct labels or
+// emit one merged snapshot.
 func (m RelayMetrics) WritePrometheus(pw *promexp.Writer, labels ...string) {
 	pw.Counter("medsen_relay_live_submits_total",
 		"Captures delivered over the live upload path.", float64(m.LiveSubmits), labels...)
 	pw.Counter("medsen_relay_submit_failures_total",
 		"Live submissions that returned an error.", float64(m.SubmitFailures), labels...)
-	pw.Counter("medsen_relay_spooled_total",
-		"Captures diverted to the offline queue.", float64(m.Spooled), labels...)
-	pw.Counter("medsen_relay_backlog_flushed_total",
-		"Spooled captures shipped by the post-recovery flush.", float64(m.BacklogFlushed), labels...)
-	for _, st := range []string{
-		BreakerClosed.String(), BreakerOpen.String(), BreakerHalfOpen.String(),
-	} {
-		v := 0.0
-		if st == m.BreakerState {
-			v = 1
-		}
-		pw.Gauge("medsen_relay_breaker_state",
-			"One-hot circuit breaker state (1 on the current state).", v,
-			append(append([]string(nil), labels...), "state", st)...)
-	}
 }
 
 func (r *Relay) progress(format string, args ...any) {

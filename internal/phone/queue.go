@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"medsen/internal/cloud"
 	"medsen/internal/faultinject"
@@ -262,44 +261,4 @@ func (q *OfflineQueue) park(name string) error {
 	defer q.mu.Unlock()
 	path := filepath.Join(q.Dir, name)
 	return q.fs().Rename(path, path+badSuffix)
-}
-
-// SubmitOrSpool ships an already compressed payload, spooling it when the
-// live path is unavailable. When the relay has a Breaker, a tripped breaker
-// skips the live attempt entirely (no transfer, no timeout — straight to the
-// spool), and a successful attempt closes the breaker and flushes the
-// backlog best-effort.
-func (r *Relay) SubmitOrSpool(ctx context.Context, payload []byte, q *OfflineQueue) (sub cloud.SubmitResponse, queued bool, err error) {
-	if q == nil {
-		return cloud.SubmitResponse{}, false, errors.New("phone: nil queue")
-	}
-	live := r.Client != nil
-	if live && r.Breaker != nil && !r.Breaker.Allow() {
-		r.progress("circuit open, spooling capture")
-		live = false
-	}
-	if live {
-		sub, err = r.Submit(ctx, payload)
-		if err == nil {
-			if r.Breaker != nil {
-				r.Breaker.Success()
-				if n, ferr := q.Flush(ctx, r.Client); ferr == nil && n > 0 {
-					atomic.AddInt64(&r.backlogFlushed, int64(n))
-					r.progress("connectivity restored, flushed %d spooled captures", n)
-				}
-			}
-			return sub, false, nil
-		}
-		if r.Breaker != nil {
-			r.Breaker.Failure()
-		}
-		r.progress("upload failed (%v), spooling capture", err)
-	}
-	name, qErr := q.Enqueue(payload)
-	if qErr != nil {
-		return cloud.SubmitResponse{}, false, fmt.Errorf("phone: upload failed and spooling failed: %w", qErr)
-	}
-	atomic.AddInt64(&r.spooled, 1)
-	r.progress("capture spooled as %s", name)
-	return cloud.SubmitResponse{}, true, nil
 }

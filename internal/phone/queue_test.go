@@ -2,7 +2,6 @@ package phone
 
 import (
 	"context"
-	"errors"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -10,7 +9,6 @@ import (
 
 	"medsen/internal/cloud"
 	"medsen/internal/csvio"
-	"medsen/internal/lockin"
 )
 
 // flakyCloud wraps a live analysis service behind a switch that simulates a
@@ -82,11 +80,29 @@ func TestUploadOrQueueSpoolsOnOutageAndFlushes(t *testing.T) {
 	q := &OfflineQueue{Dir: t.TempDir()}
 	ctx := context.Background()
 
-	// Live path first. Each upload is a distinct capture (distinct seeds):
-	// identical bytes would dedup server-side into one analysis.
-	sub, queued, err := relay.UploadOrQueue(ctx, testAcquisitionSeeded(t, 81), q)
-	if err != nil || queued {
-		t.Fatalf("live upload: sub=%+v queued=%v err=%v", sub, queued, err)
+	// uploadOrQueue ships a capture live and spools it when the upload
+	// fails, as the chaos soak does: the measurement is never lost. Each
+	// upload is a distinct capture (distinct seeds): identical bytes would
+	// dedup server-side into one analysis.
+	uploadOrQueue := func(seed uint64) (sub cloud.SubmitResponse, queued bool) {
+		t.Helper()
+		payload, err := csvio.CompressAcquisition(testAcquisitionSeeded(t, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sub, err := relay.Submit(ctx, payload); err == nil {
+			return sub, false
+		}
+		if _, err := q.Enqueue(payload); err != nil {
+			t.Fatalf("capture %d: both upload and spool failed: %v", seed, err)
+		}
+		return cloud.SubmitResponse{}, true
+	}
+
+	// Live path first.
+	sub, queued := uploadOrQueue(81)
+	if queued {
+		t.Fatal("live upload spooled")
 	}
 	if sub.ID == "" {
 		t.Fatal("no analysis id from live upload")
@@ -95,11 +111,7 @@ func TestUploadOrQueueSpoolsOnOutageAndFlushes(t *testing.T) {
 	// Outage: captures spool instead of failing.
 	down.Store(true)
 	for i := 0; i < 2; i++ {
-		_, queued, err := relay.UploadOrQueue(ctx, testAcquisitionSeeded(t, 82+uint64(i)), q)
-		if err != nil {
-			t.Fatalf("outage upload %d: %v", i, err)
-		}
-		if !queued {
+		if _, queued := uploadOrQueue(82 + uint64(i)); !queued {
 			t.Fatalf("outage upload %d not spooled", i)
 		}
 	}
@@ -191,13 +203,6 @@ func TestFlushValidation(t *testing.T) {
 	}
 }
 
-func TestUploadOrQueueNilQueue(t *testing.T) {
-	relay := &Relay{Client: &cloud.Client{BaseURL: "http://127.0.0.1:1"}, Uplink: Default4G()}
-	if _, _, err := relay.UploadOrQueue(context.Background(), testAcquisition(t), nil); err == nil {
-		t.Fatal("expected error for nil queue")
-	}
-}
-
 func TestQueueRoundTripPayloadIntact(t *testing.T) {
 	q := &OfflineQueue{Dir: t.TempDir()}
 	acq := testAcquisition(t)
@@ -231,25 +236,4 @@ func TestQueueSequenceContinuesAfterFlush(t *testing.T) {
 	if len(first) != len(second) {
 		t.Fatalf("inconsistent name widths: %q vs %q", first, second)
 	}
-}
-
-// UploadOrQueue compresses and transfers a capture, then ships or spools it
-// through SubmitOrSpool. No binary spools captures yet (ROADMAP records the
-// open decision), so it lives with its tests.
-
-// UploadOrQueue attempts a live upload; on a transport or service failure it
-// spools the payload instead and reports queued=true. The measurement is
-// never lost.
-func (r *Relay) UploadOrQueue(ctx context.Context, acq lockin.Acquisition, q *OfflineQueue) (sub cloud.SubmitResponse, queued bool, err error) {
-	if q == nil {
-		return cloud.SubmitResponse{}, false, errors.New("phone: nil queue")
-	}
-	payload, err := csvio.CompressAcquisition(acq)
-	if err != nil {
-		return cloud.SubmitResponse{}, false, err
-	}
-	if _, err := r.Uplink.TransferContext(ctx, len(payload)); err != nil {
-		return cloud.SubmitResponse{}, false, err
-	}
-	return r.SubmitOrSpool(ctx, payload, q)
 }

@@ -2,73 +2,15 @@ package phone
 
 import (
 	"context"
-	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"medsen/internal/cloud"
 	"medsen/internal/csvio"
 	"medsen/internal/faultinject"
 )
-
-// TestBreakerTransitions walks the closed → open → half-open → open/closed
-// lifecycle with a fake clock.
-func TestBreakerTransitions(t *testing.T) {
-	clock := time.Unix(1000, 0)
-	b := &Breaker{Threshold: 2, Cooldown: 10 * time.Second, now: func() time.Time { return clock }}
-
-	if !b.Allow() || b.State() != BreakerClosed {
-		t.Fatal("fresh breaker must be closed and allowing")
-	}
-	b.Failure()
-	if !b.Allow() {
-		t.Fatal("one failure below threshold must not trip")
-	}
-	b.Failure()
-	if b.State() != BreakerOpen {
-		t.Fatalf("state after threshold failures = %v, want open", b.State())
-	}
-	if b.Allow() {
-		t.Fatal("open breaker within cooldown must reject")
-	}
-
-	// Cooldown elapses: exactly one probe is admitted.
-	clock = clock.Add(11 * time.Second)
-	if !b.Allow() {
-		t.Fatal("cooldown elapsed: probe must be admitted")
-	}
-	if b.State() != BreakerHalfOpen {
-		t.Fatalf("state = %v, want half-open", b.State())
-	}
-	if b.Allow() {
-		t.Fatal("second caller must be rejected while the probe is in flight")
-	}
-
-	// Failed probe re-opens immediately.
-	b.Failure()
-	if b.State() != BreakerOpen || b.Allow() {
-		t.Fatalf("failed probe: state = %v, want open and rejecting", b.State())
-	}
-
-	// Next cooldown, successful probe closes.
-	clock = clock.Add(11 * time.Second)
-	if !b.Allow() {
-		t.Fatal("second probe must be admitted")
-	}
-	b.Success()
-	if b.State() != BreakerClosed || !b.Allow() {
-		t.Fatalf("successful probe: state = %v, want closed", b.State())
-	}
-	// A single failure after recovery must not trip (counter was reset).
-	b.Failure()
-	if b.State() != BreakerClosed {
-		t.Fatal("failure counter survived the reset")
-	}
-}
 
 // TestEnqueueSweepsStaleTmp: a *.tmp leftover from a crash mid-Enqueue is
 // removed by the next Enqueue, and never blocks or corrupts the sequence.
@@ -188,93 +130,5 @@ func TestFlushParksUnreadableEntry(t *testing.T) {
 	}
 	if len(parked) != 1 || parked[0] != "000001.zip.bad" {
 		t.Fatalf("parked = %v, want [000001.zip.bad]", parked)
-	}
-}
-
-// TestSubmitOrSpoolBreaker: repeated upload failures trip the breaker so
-// later captures spool without touching the network, and a successful probe
-// after the cooldown closes it and flushes the backlog.
-func TestSubmitOrSpoolBreaker(t *testing.T) {
-	svc, err := cloud.NewService(cloud.ServiceConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var down atomic.Bool
-	var requests atomic.Int32
-	inner := svc.Handler()
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		requests.Add(1)
-		if down.Load() {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			return
-		}
-		inner.ServeHTTP(w, r)
-	}))
-	t.Cleanup(ts.Close)
-	t.Cleanup(svc.Close)
-
-	clock := time.Unix(2000, 0)
-	breaker := &Breaker{Threshold: 2, Cooldown: 10 * time.Second, now: func() time.Time { return clock }}
-	relay := &Relay{Client: &cloud.Client{BaseURL: ts.URL}, Breaker: breaker}
-	q := &OfflineQueue{Dir: t.TempDir()}
-	// Four distinct captures (distinct seeds): identical payloads would
-	// dedup server-side into one analysis once the backlog flushes.
-	payloads := make([][]byte, 4)
-	for i := range payloads {
-		p, err := csvio.CompressAcquisition(testAcquisitionSeeded(t, 81+uint64(i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		payloads[i] = p
-	}
-	ctx := context.Background()
-
-	down.Store(true)
-	for i := 0; i < 2; i++ {
-		_, queued, err := relay.SubmitOrSpool(ctx, payloads[i], q)
-		if err != nil || !queued {
-			t.Fatalf("outage submit %d: queued=%v err=%v", i, queued, err)
-		}
-	}
-	if breaker.State() != BreakerOpen {
-		t.Fatalf("breaker = %v after %d failures, want open", breaker.State(), 2)
-	}
-
-	// Tripped: the next capture spools without a network attempt.
-	before := requests.Load()
-	_, queued, err := relay.SubmitOrSpool(ctx, payloads[2], q)
-	if err != nil || !queued {
-		t.Fatalf("tripped submit: queued=%v err=%v", queued, err)
-	}
-	if requests.Load() != before {
-		t.Fatal("tripped breaker still hit the network")
-	}
-	if names, _ := q.Pending(); len(names) != 3 {
-		t.Fatalf("pending = %v, want 3 spooled captures", names)
-	}
-
-	// Service recovers, cooldown elapses: the probe succeeds, the breaker
-	// closes, and the backlog flushes.
-	down.Store(false)
-	clock = clock.Add(11 * time.Second)
-	sub, queued, err := relay.SubmitOrSpool(ctx, payloads[3], q)
-	if err != nil || queued {
-		t.Fatalf("recovery submit: queued=%v err=%v", queued, err)
-	}
-	if sub.ID == "" {
-		t.Fatal("recovery submit returned no analysis id")
-	}
-	if breaker.State() != BreakerClosed {
-		t.Fatalf("breaker = %v after recovery, want closed", breaker.State())
-	}
-	if names, _ := q.Pending(); len(names) != 0 {
-		t.Fatalf("backlog not flushed on recovery: %v", names)
-	}
-	list, err := relay.Client.ListAnalyses(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(list) != 4 {
-		t.Fatalf("cloud has %d analyses, want 4 (probe + 3 flushed)", len(list))
 	}
 }
