@@ -86,6 +86,7 @@ fuzz:
 	$(GO) test -fuzz FuzzReadFrame -fuzztime 30s ./internal/accessory
 	$(GO) test -fuzz FuzzReceiveData -fuzztime 30s ./internal/accessory
 	$(GO) test -fuzz FuzzDecodeAcquisition -fuzztime 30s ./internal/csvio
+	$(GO) test -fuzz FuzzDecompressAcquisition -fuzztime 30s -fuzzminimizetime 1s ./internal/csvio
 	$(GO) test -fuzz FuzzBatchRequest -fuzztime 10s ./internal/cloud
 	$(GO) test -fuzz FuzzWorkqueueBodies -fuzztime 10s ./internal/cloud
 	$(GO) test -fuzz FuzzDecodeEnvelope -fuzztime 10s ./internal/cloud

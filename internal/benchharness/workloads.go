@@ -42,6 +42,7 @@ func Benchmarks() []Benchmark {
 		{Name: "Electrode", F: benchElectrode},
 		{Name: "ClassifyDiagnose", F: benchClassifyDiagnose},
 		{Name: "CloudBatchSubmit", F: benchCloudBatchSubmit},
+		{Name: "CapturePackage/30s", F: benchCapturePackage(30)},
 		{Name: "CaptureDecode/2s", F: benchCaptureDecode(2)},
 		{Name: "CaptureDecode/30s", F: benchCaptureDecode(30)},
 	}
@@ -325,6 +326,23 @@ func compressedCapture(b *testing.B, durationS float64) (lockin.Acquisition, []b
 		b.Fatal(err)
 	}
 	return res.Acquisition, payload
+}
+
+// benchCapturePackage measures the phone's step before an upload: encoding
+// an 8-carrier capture of the given duration as CSV and deflating it into
+// the zip payload, with the packager's pools warmed as a relay's are.
+func benchCapturePackage(durationS float64) func(b *testing.B) {
+	return func(b *testing.B) {
+		acq, _ := compressedCapture(b, durationS)
+		b.SetBytes(acquisitionBytes(acq))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := csvio.CompressAcquisition(acq); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }
 
 // benchCaptureDecode measures the cloud's first step on an upload: inflating

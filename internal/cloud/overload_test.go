@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -181,11 +182,17 @@ func TestRateLimitedSubmitGets429(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(svc.Close)
+	// The limiter reads the service clock. It stands still from alice's first
+	// submit to her retry, so her bucket cannot refill while a slow (raced)
+	// submit runs: the 429 and the retry's wait depend on the limiter alone.
+	clock := &pausableClock{}
+	svc.now = clock.now
 	ts := httptest.NewServer(svc.Handler())
 	t.Cleanup(ts.Close)
 	ctx := context.Background()
 	_, payload := testCapture(t, 121, 10)
 
+	clock.pause()
 	// No retry policy: the raw 429 shape is observable.
 	bare := &Client{BaseURL: ts.URL, APIKey: aliceKey}
 	if _, err := bare.SubmitCompressedKeyed(ctx, payload, "rl-1"); err != nil {
@@ -214,6 +221,7 @@ func TestRateLimitedSubmitGets429(t *testing.T) {
 	// the same submission (same key) lands exactly once.
 	retrying := &Client{BaseURL: ts.URL, APIKey: aliceKey,
 		Retry: &RetryPolicy{MaxAttempts: 4, BaseDelay: 20 * time.Millisecond}}
+	clock.resume()
 	start := time.Now()
 	sub, err := retrying.SubmitCompressedKeyed(ctx, payload, "rl-2")
 	if err != nil {
@@ -234,6 +242,37 @@ func TestRateLimitedSubmitGets429(t *testing.T) {
 	if m.StoredAnalyses != 3 {
 		t.Fatalf("StoredAnalyses = %d, want 3 (no duplicates)", m.StoredAnalyses)
 	}
+}
+
+// pausableClock is wall time less the spans it stood still for.
+type pausableClock struct {
+	mu       sync.Mutex
+	pausedAt time.Time     // the reading it stands at; zero while running
+	lag      time.Duration // how long it has stood still in all
+}
+
+func (c *pausableClock) now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.pausedAt.IsZero() {
+		return c.pausedAt
+	}
+	return time.Now().Add(-c.lag)
+}
+
+// pause stops the clock at its current reading.
+func (c *pausableClock) pause() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.pausedAt = time.Now().Add(-c.lag)
+}
+
+// resume lets the clock advance with wall time again from where it stood.
+func (c *pausableClock) resume() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.lag = time.Since(c.pausedAt)
+	c.pausedAt = time.Time{}
 }
 
 // TestAdaptiveSheddingPriorityLane: with the wait estimate past MaxQueueWait,

@@ -1,11 +1,11 @@
 package csvio
 
 import (
-	"archive/zip"
 	"bytes"
 	"encoding/csv"
 	"fmt"
 	"math"
+	"os"
 	"runtime"
 	"strconv"
 	"sync"
@@ -130,37 +130,34 @@ func TestCompressIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestLegacyArchiveDecodes pins that payloads packaged the old way — one
-// zip.Writer.Create member streamed through archive/zip's deflate, as
-// spooled by older phones — still decode to the same samples.
+// TestLegacyArchiveDecodes pins that payloads packaged the old ways, as
+// spooled by phones before an upgrade, still decode to the same samples: one
+// zip.Writer.Create member streamed through archive/zip's deflate, and the
+// segment packager's output at deflate level 5, committed in testdata.
 func TestLegacyArchiveDecodes(t *testing.T) {
 	acq := testAcquisition(t, 20)
 	csvText, err := referenceEncode(acq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	zw := zip.NewWriter(&buf)
-	f, err := zw.Create(MeasurementsFileName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(csvText); err != nil {
-		t.Fatal(err)
-	}
-	if err := zw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	legacy := decompress(t, buf.Bytes())
+	created := createdPayload(t, csvText)
+	legacy := decompress(t, created)
 	assertSamplesIdentical(t, legacy, acq)
 	payload, err := CompressAcquisition(acq)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSamplesIdentical(t, decompress(t, payload), legacy)
-	if size, err := MeasurementsSize(buf.Bytes()); err != nil || size != int64(len(csvText)) {
+	if size, err := MeasurementsSize(created); err != nil || size != int64(len(csvText)) {
 		t.Fatalf("MeasurementsSize(legacy) = %d, %v; want %d", size, err, len(csvText))
 	}
+
+	// testAcquisitionSeeded(5, 2 s), packaged while deflateLevel was 5.
+	level5, err := os.ReadFile("testdata/level5-segmented.zip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSamplesIdentical(t, decompress(t, level5), testAcquisitionSeeded(t, 5, 2))
 }
 
 // TestCompressAllocatesLessThanItsCSV is the memory bound: packaging keeps a
@@ -246,7 +243,12 @@ func inflate(t *testing.T, payload []byte) []byte {
 
 func decompress(t *testing.T, payload []byte) lockin.Acquisition {
 	t.Helper()
-	acq, err := DecompressAcquisition(payload)
+	return decompressBuffer(t, payload, nil)
+}
+
+func decompressBuffer(t *testing.T, payload []byte, buf *DecodeBuffer) lockin.Acquisition {
+	t.Helper()
+	acq, err := DecompressAcquisitionBuffer(payload, buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,8 +40,9 @@ const (
 	// primed with the windowSize bytes before it, so its matches reach
 	// across the cut as they would in one serial stream.
 	windowSize = 32 << 10
-	// deflateLevel is the level archive/zip's own Deflate compressor uses.
-	deflateLevel = 5
+	// deflateLevel is the one that ships a capture soonest: packaging, the
+	// 4G transfer and the cloud's decode together (DESIGN.md §12).
+	deflateLevel = 2
 )
 
 // EncodeAcquisition writes the acquisition as CSV: a header row of
@@ -124,15 +125,17 @@ func (e *encoder) appendRows(dst []byte, limit int) []byte {
 }
 
 // DecodeBuffer holds reusable decode state for DecompressAcquisitionBuffer:
-// the sample storage, the line reader and room for a row longer than the
-// reader's buffer. Sustained decoding (one upload after another in the cloud
-// service) then allocates nothing per row. The zero value is ready to use; a
-// buffer must not be shared between concurrent decodes.
+// the sample storage, the line reader, room for a row longer than the
+// reader's buffer, and the chunk ring the member is inflated into. Sustained
+// decoding (one upload after another in the cloud service) then allocates
+// nothing per row or per chunk. The zero value is ready to use; a buffer
+// must not be shared between concurrent decodes.
 type DecodeBuffer struct {
 	samples [][]float64
 	times   []float64
 	rd      *bufio.Reader
 	long    []byte
+	ring    ring
 }
 
 // readBufferSize is the line reader's buffer. A longer row is gathered in
@@ -505,6 +508,127 @@ func (d *deflater) deflate(seg *segment) error {
 	return d.fw.Flush()
 }
 
+// Decode pipeline constants. Like the packaging constants they are not
+// options; unlike them they fix no payload byte, only how far the inflater
+// may run ahead of the scan (DESIGN.md §12).
+const (
+	// chunkSize is how many inflated CSV bytes one ring chunk carries.
+	chunkSize = 32 << 10
+	// ringDepth is how many chunks a decode cycles: the scan reads one while
+	// the inflater fills the others.
+	ringDepth = 4
+)
+
+// ring carries a member's CSV from the goroutine inflating it to the scan.
+// Chunks cycle from free to the inflater, through full to the scan, and back
+// to free; both channels can hold every chunk, so no send blocks. The
+// channels and chunks are made on first use and kept for the next decode.
+type ring struct {
+	chunks     [ringDepth]chunk
+	free, full chan *chunk
+	quit       chan struct{} // holds one stop request; reused, so never closed
+	wg         sync.WaitGroup
+	cur        *chunk // the chunk the scan is reading, nil before the first
+	off        int    // the scan's position in cur
+}
+
+// chunk is one stretch of the inflated CSV and the error that ended the
+// stream after it, if one did.
+type chunk struct {
+	data []byte
+	n    int
+	err  error
+}
+
+// start readies the ring for a decode and starts inflating src into it.
+func (r *ring) start(src io.Reader) {
+	if r.free == nil {
+		r.free = make(chan *chunk, ringDepth)
+		r.full = make(chan *chunk, ringDepth)
+		r.quit = make(chan struct{}, 1)
+		for i := range r.chunks {
+			r.chunks[i].data = make([]byte, chunkSize)
+		}
+	}
+	for i := range r.chunks {
+		r.free <- &r.chunks[i]
+	}
+	r.cur, r.off = nil, 0
+	r.wg.Add(1)
+	go r.inflate(src)
+}
+
+// stop ends a decode however it went: it asks the inflater to quit, waits
+// for it, and takes every chunk back. Only then may src be closed. An
+// inflater told to quit stops within ringDepth chunks, however far the scan
+// got.
+func (r *ring) stop() {
+	r.quit <- struct{}{}
+	r.wg.Wait()
+	select {
+	case <-r.quit: // the inflater ended on its own and never read it
+	default:
+	}
+	for len(r.free) > 0 {
+		<-r.free
+	}
+	for len(r.full) > 0 {
+		<-r.full
+	}
+}
+
+// inflate fills free chunks from src and passes them on in order until src
+// ends or fails, or the scan asks it to quit.
+func (r *ring) inflate(src io.Reader) {
+	defer r.wg.Done()
+	for {
+		var c *chunk
+		select {
+		case <-r.quit:
+			return
+		case c = <-r.free:
+		}
+		c.fill(src)
+		r.full <- c
+		if c.err != nil {
+			return
+		}
+	}
+}
+
+// fill reads src into c until c is full or src returns an error. A panic in
+// src becomes c's error: the caller's recover cannot reach this goroutine.
+func (c *chunk) fill(src io.Reader) {
+	c.n, c.err = 0, nil
+	defer func() {
+		if v := recover(); v != nil {
+			c.err = fmt.Errorf("csvio: inflating panicked: %v", v)
+		}
+	}()
+	for c.n < len(c.data) && c.err == nil {
+		var n int
+		n, c.err = src.Read(c.data[c.n:])
+		c.n += n
+	}
+}
+
+// Read hands the scan the inflated bytes in order, then the error that
+// ended them, exactly as src would have.
+func (r *ring) Read(p []byte) (int, error) {
+	for r.cur == nil || r.off == r.cur.n {
+		if r.cur != nil {
+			if r.cur.err != nil {
+				return 0, r.cur.err
+			}
+			r.free <- r.cur
+		}
+		r.cur, r.off = <-r.full, 0
+	}
+	n := copy(p, r.cur.data[r.off:r.cur.n])
+	r.off += n
+	return n, nil
+}
+
 // DecompressAcquisition reverses CompressAcquisition.
 func DecompressAcquisition(data []byte) (lockin.Acquisition, error) {
 	return DecompressAcquisitionBuffer(data, nil)
@@ -515,6 +639,10 @@ func DecompressAcquisition(data []byte) (lockin.Acquisition, error) {
 // buf's backing arrays and are valid only until the buffer's next decode:
 // callers that recycle the buffer (e.g. through a sync.Pool) must be done
 // with the acquisition first.
+//
+// The member is inflated on a second goroutine while the calling one scans
+// the rows already inflated, so a decode takes about as long as the slower
+// of the two. No goroutine outlives the call.
 func DecompressAcquisitionBuffer(data []byte, buf *DecodeBuffer) (lockin.Acquisition, error) {
 	f, err := measurements(data)
 	if err != nil {
@@ -525,7 +653,20 @@ func DecompressAcquisitionBuffer(data []byte, buf *DecodeBuffer) (lockin.Acquisi
 		return lockin.Acquisition{}, fmt.Errorf("csvio: opening member: %w", err)
 	}
 	defer rc.Close()
-	return decodeAcquisition(rc, buf)
+	if buf == nil {
+		buf = new(DecodeBuffer)
+	}
+	return buf.decodeInflating(rc)
+}
+
+// decodeInflating decodes the CSV src yields, read through the buffer's
+// ring by a goroutine of its own. It returns what decodeAcquisition returns
+// on src itself. Whatever ends the scan — its last row, a bad one, a read
+// error or a panic — the inflater has stopped before this returns.
+func (buf *DecodeBuffer) decodeInflating(src io.Reader) (lockin.Acquisition, error) {
+	buf.ring.start(src)
+	defer buf.ring.stop()
+	return decodeAcquisition(&buf.ring, buf)
 }
 
 // MeasurementsSize returns the size of the CSV inside a payload as the

@@ -13,14 +13,14 @@ import (
 	"medsen/internal/sigproc"
 )
 
-func testAcquisition(t *testing.T, seconds float64) lockin.Acquisition {
+func testAcquisition(t testing.TB, seconds float64) lockin.Acquisition {
 	t.Helper()
 	return testAcquisitionSeeded(t, 61, seconds)
 }
 
 // testAcquisitionSeeded is a two-carrier 450 Hz capture of noisy unit
 // samples whose bytes vary with the seed.
-func testAcquisitionSeeded(t *testing.T, seed uint64, seconds float64) lockin.Acquisition {
+func testAcquisitionSeeded(t testing.TB, seed uint64, seconds float64) lockin.Acquisition {
 	t.Helper()
 	rng := drbg.NewFromSeed(seed)
 	carriers := []float64{500e3, 2000e3}
@@ -128,14 +128,20 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestDecodeAllocsIndependentOfRows pins the row scanner's contract: a
-// warmed buffer decodes a 13,500-row capture with as many allocations as a
-// 900-row one, so no row allocates.
+// TestDecodeAllocsIndependentOfRows pins the decoder's allocation contract:
+// a warmed buffer scans a 13,500-row capture with as many allocations as a
+// 900-row one, so no row allocates; and decoding a payload, its inflating
+// goroutine and chunk ring included, allocates as much for 30 s as for 2 s.
+// compress/flate allocates Huffman tables for each deflate block it reads,
+// so the phone's payloads are held to the serial decode of the same bytes:
+// the overlap adds the same few allocations to both. Stored (uncompressed)
+// members have no blocks, and there the counts are equal outright.
 func TestDecodeAllocsIndependentOfRows(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops items, so allocation counts vary")
 	}
-	short, long := encodeCSV(t, testAcquisition(t, 2)), encodeCSV(t, testAcquisition(t, 30))
+	shortAcq, longAcq := testAcquisition(t, 2), testAcquisition(t, 30)
+	short, long := encodeCSV(t, shortAcq), encodeCSV(t, longAcq)
 	var buf DecodeBuffer
 	decode := func(csv []byte) func() {
 		return func() {
@@ -150,6 +156,34 @@ func TestDecodeAllocsIndependentOfRows(t *testing.T) {
 	t.Logf("900 rows: %v allocs, 13,500 rows: %v allocs", shortAllocs, longAllocs)
 	if shortAllocs != longAllocs {
 		t.Fatalf("900 rows allocate %v, 13,500 rows %v: decoding allocates per row", shortAllocs, longAllocs)
+	}
+
+	allocs := func(decode func([]byte, *DecodeBuffer) (lockin.Acquisition, error), payload []byte) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if _, err := decode(payload, &buf); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	storedShort, storedLong := storedPayload(t, short), storedPayload(t, long)
+	shortAllocs = allocs(DecompressAcquisitionBuffer, storedShort)
+	longAllocs = allocs(DecompressAcquisitionBuffer, storedLong)
+	t.Logf("stored members: 2 s %v allocs, 30 s %v allocs", shortAllocs, longAllocs)
+	if shortAllocs != longAllocs {
+		t.Fatalf("stored 2 s payload decodes with %v allocs, 30 s with %v", shortAllocs, longAllocs)
+	}
+	var extra [2]float64
+	for i, acq := range []lockin.Acquisition{shortAcq, longAcq} {
+		payload, err := CompressAcquisition(acq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		overlapped, serial := allocs(DecompressAcquisitionBuffer, payload), allocs(serialDecompress, payload)
+		t.Logf("%d-row payload: %v allocs, serial decode %v", len(acq.Traces[0].Samples), overlapped, serial)
+		extra[i] = overlapped - serial
+	}
+	if extra[0] != extra[1] || extra[1] > 2 {
+		t.Fatalf("the overlap adds %v allocs to a 2 s payload's decode and %v to a 30 s one's", extra[0], extra[1])
 	}
 }
 
@@ -195,18 +229,8 @@ func TestDecompressRejectsGarbage(t *testing.T) {
 }
 
 func TestDecompressRejectsMissingMember(t *testing.T) {
-	// A valid zip without measurements.csv.
-	var buf bytes.Buffer
-	data, err := CompressAcquisition(testAcquisition(t, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = data
-	// Build a zip with a wrong member name by re-zipping manually.
-	buf.Reset()
-	zw := newZipWithMember(t, &buf, "other.csv", "hello")
-	_ = zw
-	if _, err := DecompressAcquisition(buf.Bytes()); err == nil {
+	payload := archiveMember(t, &zip.FileHeader{Name: "other.csv", Method: zip.Deflate}, []byte("hello"))
+	if _, err := DecompressAcquisition(payload); err == nil {
 		t.Fatal("expected error for archive without measurements.csv")
 	}
 }
@@ -230,28 +254,11 @@ func TestMeasurementsSizeMatchesEncoding(t *testing.T) {
 }
 
 // encodeCSV returns EncodeAcquisition's output.
-func encodeCSV(t *testing.T, acq lockin.Acquisition) []byte {
+func encodeCSV(t testing.TB, acq lockin.Acquisition) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := EncodeAcquisition(&buf, acq); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
-}
-
-// newZipWithMember writes a zip with a single named member into buf.
-func newZipWithMember(t *testing.T, buf *bytes.Buffer, name, content string) struct{} {
-	t.Helper()
-	zw := zip.NewWriter(buf)
-	f, err := zw.Create(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte(content)); err != nil {
-		t.Fatal(err)
-	}
-	if err := zw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return struct{}{}
 }

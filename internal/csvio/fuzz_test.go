@@ -1,11 +1,13 @@
 package csvio
 
 import (
+	"archive/zip"
 	"encoding/csv"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -157,4 +159,84 @@ func referenceDecode(r io.Reader) (lockin.Acquisition, error) {
 		acq.Traces[c] = sigproc.Trace{Rate: rate, Samples: samples[c]}
 	}
 	return acq, nil
+}
+
+// FuzzDecompressAcquisition sends arbitrary payloads through the decode the
+// service runs, with one DecodeBuffer reused across inputs as the service's
+// pool reuses it, and pins it to the serial decode it replaced: both accept
+// and reject the same payloads with the same error and bit-identical
+// carriers, rate and samples, and no goroutine outlives a decode. The one
+// exception to equal errors is a member whose size record is wrong, where
+// the decoders may stop on different rows (see serialDecompress).
+func FuzzDecompressAcquisition(f *testing.F) {
+	short := testAcquisitionSeeded(f, 7, 2)
+	payload, err := CompressAcquisition(short)
+	if err != nil {
+		f.Fatal(err)
+	}
+	csvText := encodeCSV(f, short)
+	f.Add(payload)
+	f.Add(createdPayload(f, csvText))
+	f.Add(rewrapMember(f, payload, func(h *zip.FileHeader, raw []byte) []byte {
+		h.CompressedSize64 = uint64(len(raw) / 2)
+		return raw[:len(raw)/2]
+	}))
+	f.Add(rewrapMember(f, payload, func(h *zip.FileHeader, raw []byte) []byte {
+		h.CRC32 ^= 1
+		return raw
+	}))
+	f.Add(createdPayload(f, breakRowAfter(csvText, chunkSize+1)))
+	f.Add([]byte("not a zip"))
+
+	var buf, refBuf DecodeBuffer
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		before := runtime.NumGoroutine()
+		acq, err := DecompressAcquisitionBuffer(payload, &buf)
+		waitGoroutines(t, before)
+		ref, refErr := serialDecompress(payload, &refBuf)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("decode error %v, serial decode error %v", err, refErr)
+		}
+		if err != nil {
+			if err.Error() != refErr.Error() && !sizeMismatch(err) && !sizeMismatch(refErr) {
+				t.Fatalf("decode error %q, serial decode error %q", err, refErr)
+			}
+			return
+		}
+		if !sameBits(acq.CarriersHz, ref.CarriersHz) || len(acq.Traces) != len(ref.Traces) {
+			t.Fatalf("carriers %v, serial decode %v", acq.CarriersHz, ref.CarriersHz)
+		}
+		for c := range acq.Traces {
+			got, want := acq.Traces[c], ref.Traces[c]
+			if math.Float64bits(got.Rate) != math.Float64bits(want.Rate) || !sameBits(got.Samples, want.Samples) {
+				t.Fatalf("carrier %d differs from the serial decode", c)
+			}
+		}
+	})
+}
+
+// serialDecompress is the decode DecompressAcquisitionBuffer replaced,
+// kept as the reference: the calling goroutine inflates the member through
+// the line reader as it scans. Both see the same bytes and the same error
+// after them, except where archive/zip finds the member longer or shorter
+// than its size record: it then drops the bytes of the read that crossed
+// the record, and the two read in different sizes.
+func serialDecompress(data []byte, buf *DecodeBuffer) (lockin.Acquisition, error) {
+	f, err := measurements(data)
+	if err != nil {
+		return lockin.Acquisition{}, err
+	}
+	rc, err := f.Open()
+	if err != nil {
+		return lockin.Acquisition{}, fmt.Errorf("csvio: opening member: %w", err)
+	}
+	defer rc.Close()
+	return decodeAcquisition(rc, buf)
+}
+
+// sizeMismatch reports whether err is archive/zip's complaint about a
+// member that disagrees with its size record.
+func sizeMismatch(err error) bool {
+	msg := err.Error()
+	return strings.HasSuffix(msg, zip.ErrFormat.Error()) || strings.HasSuffix(msg, io.ErrUnexpectedEOF.Error())
 }
