@@ -87,6 +87,8 @@ fuzz:
 	$(GO) test -fuzz FuzzReceiveData -fuzztime 30s ./internal/accessory
 	$(GO) test -fuzz FuzzDecodeAcquisition -fuzztime 30s ./internal/csvio
 	$(GO) test -fuzz FuzzDecompressAcquisition -fuzztime 30s -fuzzminimizetime 1s ./internal/csvio
+	$(GO) test -fuzz FuzzInflate -fuzztime 30s -fuzzminimizetime 1s ./internal/csvio
+	$(GO) test -fuzz FuzzParseSample -fuzztime 30s ./internal/csvio
 	$(GO) test -fuzz FuzzBatchRequest -fuzztime 10s ./internal/cloud
 	$(GO) test -fuzz FuzzWorkqueueBodies -fuzztime 10s ./internal/cloud
 	$(GO) test -fuzz FuzzDecodeEnvelope -fuzztime 10s ./internal/cloud

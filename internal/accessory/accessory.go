@@ -95,6 +95,7 @@ var (
 	ErrBadHello    = errors.New("accessory: malformed hello payload")
 	ErrUnexpected  = errors.New("accessory: unexpected frame type")
 	ErrInterrupted = errors.New("accessory: transfer interrupted")
+	ErrTooLarge    = errors.New("accessory: transfer exceeds the receiver's limit")
 )
 
 // WriteFrame encodes one frame to w.
@@ -263,8 +264,11 @@ func (c *Conn) SendData(data []byte) (frames int, err error) {
 
 // ReceiveData consumes data frames (acknowledging each) until the end frame
 // and returns the reassembled payload. Progress frames interleaved by the
-// sender are passed to onProgress (may be nil).
-func (c *Conn) ReceiveData(onProgress func(string)) ([]byte, error) {
+// sender are passed to onProgress (may be nil). The payload may hold at most
+// limit bytes: the peer may be the untrusted phone (DESIGN.md §4), so the
+// first data frame that would pass the limit ends the transfer with
+// ErrTooLarge, before its bytes are kept.
+func (c *Conn) ReceiveData(limit int, onProgress func(string)) ([]byte, error) {
 	var out []byte
 	for {
 		f, err := ReadFrame(c.reader())
@@ -273,6 +277,9 @@ func (c *Conn) ReceiveData(onProgress func(string)) ([]byte, error) {
 		}
 		switch f.Type {
 		case FrameData:
+			if len(f.Payload) > limit-len(out) {
+				return nil, fmt.Errorf("%w: more than %d bytes", ErrTooLarge, limit)
+			}
 			out = append(out, f.Payload...)
 			if err := WriteFrame(c.rw, Frame{Type: FrameAck}); err != nil {
 				return nil, err

@@ -160,7 +160,7 @@ func TestSendReceiveDataChunked(t *testing.T) {
 	}
 	ch := make(chan recvResult, 1)
 	go func() {
-		data, err := phone.ReceiveData(func(s string) { progress = append(progress, s) })
+		data, err := phone.ReceiveData(len(payload), func(s string) { progress = append(progress, s) })
 		ch <- recvResult{data, err}
 	}()
 
@@ -186,11 +186,58 @@ func TestSendReceiveDataChunked(t *testing.T) {
 	}
 }
 
+// TestReceiveDataRefusesPastLimit: a peer that streams data frames past the
+// receiver's limit and never ends the transfer is refused on the first frame
+// beyond the limit, whose bytes are not kept.
+func TestReceiveDataRefusesPastLimit(t *testing.T) {
+	const frameSize, limit = 1000, 10_500
+	var frame bytes.Buffer
+	if err := WriteFrame(&frame, Frame{Type: FrameData, Payload: bytes.Repeat([]byte{'x'}, frameSize)}); err != nil {
+		t.Fatal(err)
+	}
+	peer := &endlessPeer{frame: frame.Bytes()}
+	c := &Conn{rw: peer}
+	data, err := c.ReceiveData(limit, nil)
+	if !errors.Is(err, ErrTooLarge) || data != nil {
+		t.Fatalf("ReceiveData = %d bytes, %v; want ErrTooLarge", len(data), err)
+	}
+	var ack bytes.Buffer
+	if err := WriteFrame(&ack, Frame{Type: FrameAck}); err != nil {
+		t.Fatal(err)
+	}
+	if acked := peer.written / ack.Len(); acked != limit/frameSize {
+		t.Fatalf("receiver acknowledged %d frames of %d B under a %d B limit, want %d",
+			acked, frameSize, limit, limit/frameSize)
+	}
+}
+
+// endlessPeer sends the same frame forever and counts what it is sent.
+type endlessPeer struct {
+	frame   []byte
+	off     int
+	written int
+}
+
+func (p *endlessPeer) Read(b []byte) (int, error) {
+	n := 0
+	for n < len(b) {
+		c := copy(b[n:], p.frame[p.off:])
+		n += c
+		p.off = (p.off + c) % len(p.frame)
+	}
+	return n, nil
+}
+
+func (p *endlessPeer) Write(b []byte) (int, error) {
+	p.written += len(b)
+	return len(b), nil
+}
+
 func TestReceiveDataPropagatesErrorFrame(t *testing.T) {
 	controller, phone := duplex(t)
 	ch := make(chan error, 1)
 	go func() {
-		_, err := phone.ReceiveData(nil)
+		_, err := phone.ReceiveData(MaxPayload, nil)
 		ch <- err
 	}()
 	if err := WriteFrame(controllerRW(controller), Frame{Type: FrameError, Payload: []byte("pump stall")}); err != nil {

@@ -77,7 +77,7 @@ func FuzzReceiveData(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := &Conn{rw: fuzzSink{bytes.NewReader(data)}}
-		got, err := c.ReceiveData(func(string) {})
+		got, err := c.ReceiveData(len(data), func(string) {})
 		if err != nil {
 			return
 		}

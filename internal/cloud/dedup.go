@@ -18,11 +18,12 @@ package cloud
 // process dies mid-analysis the client's retry re-runs the capture.
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // CaptureKey returns the canonical content-derived idempotency key for a
@@ -149,30 +150,94 @@ func (s *Service) insertDedupLocked(e *dedupEntry) {
 	s.dedupSeq++
 	e.seq = s.dedupSeq
 	s.dedup[e.key] = e
+	s.dedupOrder.push(e, s.dedup)
 	s.evictDedupLocked()
 }
 
 // evictDedupLocked drops the oldest completed entries beyond the count
 // bound. Pending reservations and live-job entries are never evicted — they
-// guard work still in flight. Callers must hold s.mu.
+// guard work still in flight. Each eviction costs the entries it passes
+// over, not the index's size. Callers must hold s.mu.
 func (s *Service) evictDedupLocked() {
-	if s.maxDedupEntries <= 0 || len(s.dedup) <= s.maxDedupEntries {
+	if s.maxDedupEntries <= 0 {
 		return
 	}
-	var done []*dedupEntry
-	for _, e := range s.dedup {
-		if e.analysisID != "" {
-			done = append(done, e)
-		}
-	}
-	sort.Slice(done, func(i, j int) bool { return done[i].seq < done[j].seq })
-	for _, e := range done {
-		if len(s.dedup) <= s.maxDedupEntries {
-			break
+	for len(s.dedup) > s.maxDedupEntries {
+		e := s.dedupOrder.popOldestDone(s.dedup)
+		if e == nil {
+			return
 		}
 		delete(s.dedup, e.key)
 		s.removeDedupDocLocked(e.key)
 	}
+}
+
+// dedupQueue holds the index's entries in seq order for eviction. An entry
+// that leaves the index (released, or replaced under its key) stays queued
+// until eviction or compaction passes it; an entry whose work is still in
+// flight when eviction reaches it waits in deferred, which is older than
+// every entry still in order.
+type dedupQueue struct {
+	order    []*dedupEntry // order[head:] in seq order
+	head     int
+	deferred []*dedupEntry
+}
+
+// indexed reports whether e is still the index's entry for its key.
+func indexed(index map[string]*dedupEntry, e *dedupEntry) bool { return index[e.key] == e }
+
+// push queues e, newer than every queued entry. Once most queued entries
+// have left the index it compacts the queue, so the queue stays within a
+// constant factor of the index however many captures come and go below the
+// count bound.
+func (q *dedupQueue) push(e *dedupEntry, index map[string]*dedupEntry) {
+	if n := len(q.order) - q.head; n > 2*len(index)+64 {
+		kept := q.order[:0]
+		for _, qe := range q.order[q.head:] {
+			if indexed(index, qe) {
+				kept = append(kept, qe)
+			}
+		}
+		clear(q.order[len(kept):])
+		q.order, q.head = kept, 0
+	} else if q.head > len(q.order)/2 {
+		n := copy(q.order, q.order[q.head:])
+		clear(q.order[n:])
+		q.order, q.head = q.order[:n], 0
+	}
+	q.order = append(q.order, e)
+}
+
+// popOldestDone removes and returns the completed entry with the lowest
+// seq, or nil if every entry left is in flight. Entries that have left the
+// index are dropped on the way.
+func (q *dedupQueue) popOldestDone(index map[string]*dedupEntry) *dedupEntry {
+	var done *dedupEntry
+	kept := q.deferred[:0]
+	for _, e := range q.deferred {
+		switch {
+		case !indexed(index, e):
+		case done == nil && e.analysisID != "":
+			done = e
+		default:
+			kept = append(kept, e)
+		}
+	}
+	clear(q.deferred[len(kept):])
+	q.deferred = kept
+	for done == nil && q.head < len(q.order) {
+		e := q.order[q.head]
+		q.order[q.head] = nil
+		q.head++
+		switch {
+		case !indexed(index, e):
+		case e.analysisID == "":
+			q.deferred = append(q.deferred, e)
+		default:
+			done = e
+		}
+	}
+	return done
 }
 
 // persistedDedup is the on-disk index document, one file per capture key.
@@ -217,7 +282,9 @@ func (s *Service) journalDedupLocked(e *dedupEntry) {
 // job), with failed deletes counted and retried like job evictions. Callers
 // must hold s.mu.
 func (s *Service) removeDedupDocLocked(key string) {
-	s.deleteDocLocked(KindDedup, dedupDocID(key))
+	if s.store != nil {
+		s.deleteDocLocked(KindDedup, dedupDocID(key))
+	}
 }
 
 // loadDedup restores the journaled index, reconciling each entry against the
@@ -272,5 +339,12 @@ func (s *Service) loadDedup() error {
 			s.dedupSeq = e.seq
 		}
 	}
+	// The eviction queue, built once from the journaled order.
+	order := make([]*dedupEntry, 0, len(s.dedup))
+	for _, e := range s.dedup {
+		order = append(order, e)
+	}
+	slices.SortFunc(order, func(a, b *dedupEntry) int { return cmp.Compare(a.seq, b.seq) })
+	s.dedupOrder = dedupQueue{order: order}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -444,5 +445,67 @@ func TestDedupEviction(t *testing.T) {
 	}
 	if !liveAlive || !newAlive {
 		t.Fatal("live-job or newest entry evicted")
+	}
+}
+
+// TestDedupEvictionPastFullIndex inserts past a full index: each insert
+// evicts exactly the oldest completed entry, passing over a pending
+// reservation, a live job's entry and entries already released, and costs
+// a constant number of allocations however large the index is.
+func TestDedupEvictionPastFullIndex(t *testing.T) {
+	const max, extra = 1000, 300
+	svc, err := NewService(ServiceConfig{MaxDedupEntries: max})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(svc.Close)
+	svc.mu.Lock()
+	defer svc.mu.Unlock()
+	done := func(i int) *dedupEntry {
+		return &dedupEntry{key: fmt.Sprintf("k%d", i), analysisID: fmt.Sprintf("an-%d", i)}
+	}
+	svc.insertDedupLocked(done(0))
+	svc.insertDedupLocked(&dedupEntry{key: "pending", pending: true})
+	svc.insertDedupLocked(&dedupEntry{key: "live", jobID: "job-1"})
+	svc.jobs["job-1"] = &queuedJob{Job: Job{ID: "job-1", Status: JobRunning}}
+	svc.insertDedupLocked(&dedupEntry{key: "released", jobID: "job-2"})
+	svc.releaseCaptureLocked("released", "job-2")
+	for i := 1; i < max-2; i++ {
+		svc.insertDedupLocked(done(i))
+	}
+	if len(svc.dedup) != max {
+		t.Fatalf("%d entries before the bound is passed, want %d", len(svc.dedup), max)
+	}
+	for i := max - 2; i < max-2+extra; i++ {
+		svc.insertDedupLocked(done(i))
+	}
+	// Survivors: the two in-flight entries and the newest max-2 completed.
+	want := map[string]bool{"pending": true, "live": true}
+	for i := extra; i < max-2+extra; i++ {
+		want[fmt.Sprintf("k%d", i)] = true
+	}
+	if len(svc.dedup) != len(want) {
+		t.Fatalf("%d entries survive, want %d", len(svc.dedup), len(want))
+	}
+	for key := range want {
+		if svc.dedup[key] == nil {
+			t.Fatalf("entry %q evicted", key)
+		}
+	}
+
+	next := max - 2 + extra
+	entries := make([]*dedupEntry, 101)
+	for i := range entries {
+		entries[i] = done(next + i)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		svc.insertDedupLocked(entries[0])
+		entries = entries[1:]
+	})
+	if allocs > 1 {
+		t.Fatalf("an insert past the bound allocates %v times", allocs)
+	}
+	if len(svc.dedup) != max {
+		t.Fatalf("%d entries after the timed inserts, want %d", len(svc.dedup), max)
 	}
 }

@@ -27,9 +27,10 @@ import (
 	"medsen/internal/promexp"
 )
 
-// maxUploadBytes bounds one measurement upload (a 3 h capture compresses to
+// MaxUploadBytes bounds one measurement upload (a 3 h capture compresses to
 // ~240 MB in the paper; we stay well above typical test sizes but finite).
-const maxUploadBytes = 1 << 30
+// The phone app receives a capture from the device under the same bound.
+const MaxUploadBytes = 1 << 30
 
 // Service is the cloud analysis server: it accepts zip-compressed CSV
 // uploads, runs the peak-detection pipeline (inline or on an async job
@@ -59,7 +60,7 @@ type Service struct {
 	// maxQueueWait is the load-shedding limit on the estimated queue wait
 	// (0 = shedding disabled).
 	maxQueueWait time.Duration
-	// uploadLimit is maxUploadBytes, overridable by tests that exercise the
+	// uploadLimit is MaxUploadBytes, overridable by tests that exercise the
 	// 413 path without gigabyte payloads.
 	uploadLimit int64
 	// keystore, when non-nil, requires API-key authentication on every
@@ -76,6 +77,7 @@ type Service struct {
 	// Exactly-once ingestion (dedup.go): capture key → owning work.
 	dedup           map[string]*dedupEntry
 	dedupSeq        int64
+	dedupOrder      dedupQueue
 	maxDedupEntries int
 	// queueEst feeds the load shedder (overload.go).
 	queueEst queueEstimator
@@ -323,7 +325,7 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 		storeRecovery:   cfg.StoreRecoveryInterval,
 		jobTimeout:      cfg.JobTimeout,
 		maxQueueWait:    cfg.MaxQueueWait,
-		uploadLimit:     maxUploadBytes,
+		uploadLimit:     MaxUploadBytes,
 		keystore:        cfg.Keystore,
 		auditLog:        cfg.Audit,
 		jobTTL:          cfg.JobTTL,

@@ -126,16 +126,18 @@ func (e *encoder) appendRows(dst []byte, limit int) []byte {
 
 // DecodeBuffer holds reusable decode state for DecompressAcquisitionBuffer:
 // the sample storage, the line reader, room for a row longer than the
-// reader's buffer, and the chunk ring the member is inflated into. Sustained
-// decoding (one upload after another in the cloud service) then allocates
-// nothing per row or per chunk. The zero value is ready to use; a buffer
-// must not be shared between concurrent decodes.
+// reader's buffer, the chunk ring the member is inflated into, and the
+// inflater with its Huffman tables. Sustained decoding (one upload after
+// another in the cloud service) then allocates nothing per row, per chunk
+// or per deflate block. The zero value is ready to use; a buffer must not
+// be shared between concurrent decodes.
 type DecodeBuffer struct {
 	samples [][]float64
 	times   []float64
 	rd      *bufio.Reader
 	long    []byte
 	ring    ring
+	z       inflater
 }
 
 // readBufferSize is the line reader's buffer. A longer row is gathered in
@@ -204,7 +206,7 @@ func decodeAcquisition(r io.Reader, buf *DecodeBuffer) (lockin.Acquisition, erro
 				ErrBadCSV, n, len(carriers)+1)
 		}
 		field, rest, _ := bytes.Cut(row, comma)
-		t, err := strconv.ParseFloat(string(field), 64)
+		t, err := parseFloat(field)
 		if err != nil || !finite(t) {
 			return lockin.Acquisition{}, fmt.Errorf("%w: bad time %q", ErrBadCSV, field)
 		}
@@ -216,7 +218,7 @@ func decodeAcquisition(r io.Reader, buf *DecodeBuffer) (lockin.Acquisition, erro
 		times = append(times, t)
 		for c := range samples {
 			field, rest, _ = bytes.Cut(rest, comma)
-			v, err := strconv.ParseFloat(string(field), 64)
+			v, err := parseFloat(field)
 			if err != nil || !finite(v) {
 				return lockin.Acquisition{}, fmt.Errorf("%w: bad value %q", ErrBadCSV, field)
 			}
@@ -512,8 +514,12 @@ func (d *deflater) deflate(seg *segment) error {
 // options; unlike them they fix no payload byte, only how far the inflater
 // may run ahead of the scan (DESIGN.md §12).
 const (
-	// chunkSize is how many inflated CSV bytes one ring chunk carries.
+	// chunkSize is how many new CSV bytes a ring chunk carries at least.
 	chunkSize = 32 << 10
+	// chunkSlack is room past chunkSize for the symbol that crosses it: two
+	// literals, a 258-byte match and the 8-byte word its copy may write past
+	// its end. A match never splits across a hand-off.
+	chunkSlack = 2 + 258 + 8
 	// ringDepth is how many chunks a decode cycles: the scan reads one while
 	// the inflater fills the others.
 	ringDepth = 4
@@ -532,36 +538,38 @@ type ring struct {
 	off        int    // the scan's position in cur
 }
 
-// chunk is one stretch of the inflated CSV and the error that ended the
-// stream after it, if one did.
+// chunk is one stretch of the inflated CSV, data[start:end], and the error
+// that ended the stream after it, if one did. data[:start] is the window:
+// the windowSize bytes of CSV before it, or all of them near the start.
 type chunk struct {
-	data []byte
-	n    int
-	err  error
+	data       []byte
+	start, end int
+	err        error
 }
 
-// start readies the ring for a decode and starts inflating src into it.
-func (r *ring) start(src io.Reader) {
+// start readies the ring for a decode and starts body on z, writing into
+// it, on a goroutine of its own.
+func (r *ring) start(z *inflater, body func(*inflater) error) {
 	if r.free == nil {
 		r.free = make(chan *chunk, ringDepth)
 		r.full = make(chan *chunk, ringDepth)
 		r.quit = make(chan struct{}, 1)
 		for i := range r.chunks {
-			r.chunks[i].data = make([]byte, chunkSize)
+			r.chunks[i].data = make([]byte, windowSize+chunkSize+chunkSlack)
 		}
 	}
 	for i := range r.chunks {
 		r.free <- &r.chunks[i]
 	}
 	r.cur, r.off = nil, 0
+	z.ring = r
 	r.wg.Add(1)
-	go r.inflate(src)
+	go r.produce(z, body)
 }
 
 // stop ends a decode however it went: it asks the inflater to quit, waits
-// for it, and takes every chunk back. Only then may src be closed. An
-// inflater told to quit stops within ringDepth chunks, however far the scan
-// got.
+// for it, and takes every chunk back. An inflater told to quit stops within
+// ringDepth chunks, however far the scan got.
 func (r *ring) stop() {
 	r.quit <- struct{}{}
 	r.wg.Wait()
@@ -577,54 +585,55 @@ func (r *ring) stop() {
 	}
 }
 
-// inflate fills free chunks from src and passes them on in order until src
-// ends or fails, or the scan asks it to quit.
-func (r *ring) inflate(src io.Reader) {
-	defer r.wg.Done()
-	for {
-		var c *chunk
-		select {
-		case <-r.quit:
-			return
-		case c = <-r.free:
-		}
-		c.fill(src)
-		r.full <- c
-		if c.err != nil {
-			return
-		}
+// take returns a free chunk, or nil once the scan has asked the inflater to
+// quit.
+func (r *ring) take() *chunk {
+	select {
+	case <-r.quit:
+		return nil
+	case c := <-r.free:
+		return c
 	}
 }
 
-// fill reads src into c until c is full or src returns an error. A panic in
-// src becomes c's error: the caller's recover cannot reach this goroutine.
-func (c *chunk) fill(src io.Reader) {
-	c.n, c.err = 0, nil
-	defer func() {
-		if v := recover(); v != nil {
-			c.err = fmt.Errorf("csvio: inflating panicked: %v", v)
-		}
-	}()
-	for c.n < len(c.data) && c.err == nil {
-		var n int
-		n, c.err = src.Read(c.data[c.n:])
-		c.n += n
+// produce runs body on z until the member ends, fails or the scan stops,
+// and passes the last chunk on with the error that ended it.
+func (r *ring) produce(z *inflater, body func(*inflater) error) {
+	defer r.wg.Done()
+	c := r.take()
+	if c == nil {
+		return
 	}
+	z.use(c, 0)
+	err := z.run(body)
+	if err == errQuit {
+		return
+	}
+	if z.c == nil { // a panic between hand-offs
+		if c = r.take(); c == nil {
+			return
+		}
+		z.use(c, 0)
+	}
+	c = z.c
+	c.start, c.end, c.err = z.start, z.o, err
+	r.full <- c
 }
 
 // Read hands the scan the inflated bytes in order, then the error that
-// ended them, exactly as src would have.
+// ended them.
 func (r *ring) Read(p []byte) (int, error) {
-	for r.cur == nil || r.off == r.cur.n {
+	for r.cur == nil || r.off == r.cur.end {
 		if r.cur != nil {
 			if r.cur.err != nil {
 				return 0, r.cur.err
 			}
 			r.free <- r.cur
 		}
-		r.cur, r.off = <-r.full, 0
+		r.cur = <-r.full
+		r.off = r.cur.start
 	}
-	n := copy(p, r.cur.data[r.off:r.cur.n])
+	n := copy(p, r.cur.data[r.off:r.cur.end])
 	r.off += n
 	return n, nil
 }
@@ -640,32 +649,36 @@ func DecompressAcquisition(data []byte) (lockin.Acquisition, error) {
 // callers that recycle the buffer (e.g. through a sync.Pool) must be done
 // with the acquisition first.
 //
-// The member is inflated on a second goroutine while the calling one scans
-// the rows already inflated, so a decode takes about as long as the slower
-// of the two. No goroutine outlives the call.
+// archive/zip reads the payload's directory and headers; the inflater then
+// decodes the member's bytes straight out of data, on a second goroutine,
+// while the calling one scans the rows already inflated. A decode takes
+// about as long as the slower of the two, accepts exactly the payloads
+// archive/zip and compress/flate accept, and yields the same samples. No
+// goroutine outlives the call.
 func DecompressAcquisitionBuffer(data []byte, buf *DecodeBuffer) (lockin.Acquisition, error) {
 	f, err := measurements(data)
 	if err != nil {
 		return lockin.Acquisition{}, err
 	}
-	rc, err := f.Open()
-	if err != nil {
-		return lockin.Acquisition{}, fmt.Errorf("csvio: opening member: %w", err)
-	}
-	defer rc.Close()
 	if buf == nil {
 		buf = new(DecodeBuffer)
 	}
-	return buf.decodeInflating(rc)
+	if err := buf.z.open(data, f); err != nil {
+		return lockin.Acquisition{}, fmt.Errorf("csvio: opening member: %w", err)
+	}
+	return buf.decodeInflating((*inflater).readMember)
 }
 
-// decodeInflating decodes the CSV src yields, read through the buffer's
-// ring by a goroutine of its own. It returns what decodeAcquisition returns
-// on src itself. Whatever ends the scan — its last row, a bad one, a read
-// error or a panic — the inflater has stopped before this returns.
-func (buf *DecodeBuffer) decodeInflating(src io.Reader) (lockin.Acquisition, error) {
-	buf.ring.start(src)
-	defer buf.ring.stop()
+// decodeInflating decodes the CSV that body writes through the buffer's
+// ring, from a goroutine of its own. Whatever ends the scan — its last row,
+// a bad one, a read error or a panic — the inflater has stopped before this
+// returns, and the buffer no longer holds the payload.
+func (buf *DecodeBuffer) decodeInflating(body func(*inflater) error) (lockin.Acquisition, error) {
+	buf.ring.start(&buf.z, body)
+	defer func() {
+		buf.ring.stop()
+		buf.z.in = nil
+	}()
 	return decodeAcquisition(&buf.ring, buf)
 }
 

@@ -132,10 +132,10 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 // a warmed buffer scans a 13,500-row capture with as many allocations as a
 // 900-row one, so no row allocates; and decoding a payload, its inflating
 // goroutine and chunk ring included, allocates as much for 30 s as for 2 s.
-// compress/flate allocates Huffman tables for each deflate block it reads,
-// so the phone's payloads are held to the serial decode of the same bytes:
-// the overlap adds the same few allocations to both. Stored (uncompressed)
-// members have no blocks, and there the counts are equal outright.
+// The inflater keeps its tables in the buffer, so that holds for stored
+// members, the phone's CreateRaw members and older phones' Create members,
+// which end in a data descriptor, alike; and a deflated payload costs no
+// more than the 2 s one did while compress/flate inflated it.
 func TestDecodeAllocsIndependentOfRows(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops items, so allocation counts vary")
@@ -158,32 +158,36 @@ func TestDecodeAllocsIndependentOfRows(t *testing.T) {
 		t.Fatalf("900 rows allocate %v, 13,500 rows %v: decoding allocates per row", shortAllocs, longAllocs)
 	}
 
-	allocs := func(decode func([]byte, *DecodeBuffer) (lockin.Acquisition, error), payload []byte) float64 {
+	allocs := func(payload []byte) float64 {
 		return testing.AllocsPerRun(10, func() {
-			if _, err := decode(payload, &buf); err != nil {
+			if _, err := DecompressAcquisitionBuffer(payload, &buf); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
-	storedShort, storedLong := storedPayload(t, short), storedPayload(t, long)
-	shortAllocs = allocs(DecompressAcquisitionBuffer, storedShort)
-	longAllocs = allocs(DecompressAcquisitionBuffer, storedLong)
-	t.Logf("stored members: 2 s %v allocs, 30 s %v allocs", shortAllocs, longAllocs)
-	if shortAllocs != longAllocs {
-		t.Fatalf("stored 2 s payload decodes with %v allocs, 30 s with %v", shortAllocs, longAllocs)
-	}
-	var extra [2]float64
-	for i, acq := range []lockin.Acquisition{shortAcq, longAcq} {
+	compressed := func(acq lockin.Acquisition) []byte {
 		payload, err := CompressAcquisition(acq)
 		if err != nil {
 			t.Fatal(err)
 		}
-		overlapped, serial := allocs(DecompressAcquisitionBuffer, payload), allocs(serialDecompress, payload)
-		t.Logf("%d-row payload: %v allocs, serial decode %v", len(acq.Traces[0].Samples), overlapped, serial)
-		extra[i] = overlapped - serial
+		return payload
 	}
-	if extra[0] != extra[1] || extra[1] > 2 {
-		t.Fatalf("the overlap adds %v allocs to a 2 s payload's decode and %v to a 30 s one's", extra[0], extra[1])
+	// The 2 s payload's count while compress/flate inflated it.
+	const flateAllocs = 28
+	for _, tc := range []struct {
+		name        string
+		short, long []byte
+		limit       float64
+	}{
+		{"stored", storedPayload(t, short), storedPayload(t, long), math.Inf(1)},
+		{"CreateRaw", compressed(shortAcq), compressed(longAcq), flateAllocs},
+		{"Create", createdPayload(t, short), createdPayload(t, long), flateAllocs},
+	} {
+		shortAllocs, longAllocs = allocs(tc.short), allocs(tc.long)
+		t.Logf("%s members: 2 s %v allocs, 30 s %v allocs", tc.name, shortAllocs, longAllocs)
+		if shortAllocs != longAllocs || longAllocs > tc.limit {
+			t.Fatalf("%s 2 s payload decodes with %v allocs, 30 s with %v (limit %v)", tc.name, shortAllocs, longAllocs, tc.limit)
+		}
 	}
 }
 

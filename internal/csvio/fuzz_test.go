@@ -2,6 +2,8 @@ package csvio
 
 import (
 	"archive/zip"
+	"bytes"
+	"compress/flate"
 	"encoding/csv"
 	"errors"
 	"fmt"
@@ -165,9 +167,11 @@ func referenceDecode(r io.Reader) (lockin.Acquisition, error) {
 // service runs, with one DecodeBuffer reused across inputs as the service's
 // pool reuses it, and pins it to the serial decode it replaced: both accept
 // and reject the same payloads with the same error and bit-identical
-// carriers, rate and samples, and no goroutine outlives a decode. The one
-// exception to equal errors is a member whose size record is wrong, where
-// the decoders may stop on different rows (see serialDecompress).
+// carriers, rate and samples, and no goroutine outlives a decode. There are
+// two exceptions to equal errors: a member whose size record is wrong, where
+// the decoders may stop on different rows (see serialDecompress), and a
+// deflate stream that compress/flate rejects, where the inflater gives its
+// own error for the same stream.
 func FuzzDecompressAcquisition(f *testing.F) {
 	short := testAcquisitionSeeded(f, 7, 2)
 	payload, err := CompressAcquisition(short)
@@ -198,7 +202,8 @@ func FuzzDecompressAcquisition(f *testing.F) {
 			t.Fatalf("decode error %v, serial decode error %v", err, refErr)
 		}
 		if err != nil {
-			if err.Error() != refErr.Error() && !sizeMismatch(err) && !sizeMismatch(refErr) {
+			if err.Error() != refErr.Error() && !sizeMismatch(err) && !sizeMismatch(refErr) &&
+				!(inflateFailure(err) && flateFailure(refErr)) {
 				t.Fatalf("decode error %q, serial decode error %q", err, refErr)
 			}
 			return
@@ -234,9 +239,134 @@ func serialDecompress(data []byte, buf *DecodeBuffer) (lockin.Acquisition, error
 	return decodeAcquisition(rc, buf)
 }
 
+// flateFailure reports whether the serial decode's err came from
+// compress/flate: a corrupt stream, or one cut short.
+func flateFailure(err error) bool {
+	return strings.Contains(err.Error(), "flate: corrupt input before offset") ||
+		strings.HasSuffix(err.Error(), io.ErrUnexpectedEOF.Error())
+}
+
+// inflateFailure reports whether err came from the inflater's own reading
+// of a deflate stream: a corrupt stream, or one cut short.
+func inflateFailure(err error) bool {
+	return strings.Contains(err.Error(), "csvio: corrupt deflate stream") ||
+		strings.HasSuffix(err.Error(), io.ErrUnexpectedEOF.Error())
+}
+
 // sizeMismatch reports whether err is archive/zip's complaint about a
 // member that disagrees with its size record.
 func sizeMismatch(err error) bool {
 	msg := err.Error()
 	return strings.HasSuffix(msg, zip.ErrFormat.Error()) || strings.HasSuffix(msg, io.ErrUnexpectedEOF.Error())
+}
+
+// FuzzInflate sends arbitrary raw deflate streams through the inflater and
+// through compress/flate, its oracle: both accept or reject alike, and both
+// yield the same bytes, before an error too. One DecodeBuffer is reused
+// across inputs, as the service reuses its buffers.
+func FuzzInflate(f *testing.F) {
+	csvText := encodeCSV(f, testAcquisitionSeeded(f, 7, 0.5))
+	for _, level := range []int{1, 2, 5, 9, flate.HuffmanOnly, flate.NoCompression} {
+		f.Add(deflateBytes(f, csvText, level))
+	}
+	// Over one packaging segment: two deflate runs joined at a sync flush.
+	f.Add(rawDeflate(f, mustCompress(f, testAcquisitionSeeded(f, 7, 6.5))))
+	level2 := deflateBytes(f, csvText, 2)
+	f.Add(level2[:len(level2)*3/4])
+	flipped := bytes.Clone(level2)
+	flipped[len(flipped)/2] ^= 0x10
+	f.Add(flipped)
+
+	var buf DecodeBuffer
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		got, err := inflateRaw(&buf, raw)
+		want, refErr := io.ReadAll(flate.NewReader(bytes.NewReader(raw)))
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("inflater error %v, compress/flate error %v", err, refErr)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("inflater yields %d B, compress/flate %d B; first difference at %d (errors %v, %v)",
+				len(got), len(want), firstDiff(got, want), err, refErr)
+		}
+	})
+}
+
+// FuzzParseSample sends arbitrary fields through the sample parser and
+// through strconv.ParseFloat, its oracle: the same float64 bits, and an
+// error for the same fields.
+func FuzzParseSample(f *testing.F) {
+	acq := testAcquisitionSeeded(f, 7, 1)
+	for i := 0; i < 20; i++ {
+		f.Add(strconv.FormatFloat(acq.Traces[0].Samples[i], 'g', -1, 64))
+		f.Add(strconv.FormatFloat(float64(i*37)/acq.Traces[0].Rate, 'g', -1, 64))
+	}
+	for _, s := range []string{
+		"1e-05", "-0", "1234567890123456789", "12345678901234567890", "0.1234567890123456789",
+		"9007199254740993", "4.9e-324", "2.2250738585072014e-308", "1.7976931348623157e308",
+		"1e309", "NaN", "+1", "1_0", "0x1p-2", ".5", "5.",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, err := parseFloat([]byte(s))
+		want, refErr := strconv.ParseFloat(s, 64)
+		if (err == nil) != (refErr == nil) || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("parseFloat(%q) = %v (%#x), %v; strconv %v (%#x), %v",
+				s, got, math.Float64bits(got), err, want, math.Float64bits(want), refErr)
+		}
+	})
+}
+
+// inflateRaw inflates a bare deflate stream through buf's inflater and
+// ring, as a decode would, and returns every byte it yields and the error
+// after them.
+func inflateRaw(buf *DecodeBuffer, raw []byte) ([]byte, error) {
+	buf.z.openRaw(raw)
+	buf.ring.start(&buf.z, (*inflater).inflate)
+	defer buf.ring.stop()
+	return io.ReadAll(&buf.ring)
+}
+
+// deflateBytes deflates p at level with compress/flate.
+func deflateBytes(tb testing.TB, p []byte, level int) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	w, err := flate.NewWriter(&buf, level)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := w.Write(p); err != nil {
+		tb.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// rawDeflate returns the raw bytes of a payload's measurements member.
+func rawDeflate(tb testing.TB, payload []byte) []byte {
+	tb.Helper()
+	f, err := measurements(payload)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r, err := f.OpenRaw()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	raw, err := io.ReadAll(r)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return raw
+}
+
+func mustCompress(tb testing.TB, acq lockin.Acquisition) []byte {
+	tb.Helper()
+	payload, err := CompressAcquisition(acq)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return payload
 }

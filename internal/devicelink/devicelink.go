@@ -24,6 +24,19 @@ import (
 	"medsen/internal/phone"
 )
 
+// MaxReportBytes bounds the analysis report the device takes back from the
+// phone, which it does not trust (DESIGN.md §4): the largest report a 3 h
+// capture yields. At 450 Hz a 3 h capture has 4.86 M samples, and the peak
+// detector (MinWidth 2, MinSeparation 2) finds at most one peak in every 4
+// of them. Each peak's JSON holds 11 floats (time, amplitude, width, one
+// amplitude per carrier of the 8), each at most 25 bytes as encoding/json
+// writes them, and 69 bytes of names and punctuation: 344 bytes. The rest
+// of the report is far below the 64 KiB added for it.
+const MaxReportBytes = 3*3600*450/4*maxPeakJSONBytes + 64<<10
+
+// maxPeakJSONBytes is one peak's report entry at its longest.
+const maxPeakJSONBytes = 11*25 + 69
+
 // DeviceSend runs the controller's side of one measurement transfer over the
 // accessory transport rw: handshake, upload the capture, receive the
 // analysis report back. progress (may be nil) receives UI status lines that
@@ -51,7 +64,7 @@ func DeviceSend(rw io.ReadWriter, acq lockin.Acquisition, progress func(string))
 		return cloud.Report{}, fmt.Errorf("devicelink: sending measurements: %w", err)
 	}
 
-	reportJSON, err := conn.ReceiveData(progress)
+	reportJSON, err := conn.ReceiveData(MaxReportBytes, progress)
 	if err != nil {
 		return cloud.Report{}, fmt.Errorf("devicelink: receiving report: %w", err)
 	}
@@ -74,7 +87,7 @@ func PhoneServe(ctx context.Context, rw io.ReadWriter, relay *phone.Relay) (stri
 	if err != nil {
 		return "", fmt.Errorf("devicelink: handshake: %w", err)
 	}
-	payload, err := conn.ReceiveData(relay.Progress)
+	payload, err := conn.ReceiveData(cloud.MaxUploadBytes, relay.Progress)
 	if err != nil {
 		return "", fmt.Errorf("devicelink: receiving measurements: %w", err)
 	}

@@ -2,6 +2,7 @@ package devicelink
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net"
@@ -18,6 +19,7 @@ import (
 	"medsen/internal/microfluidic"
 	"medsen/internal/phone"
 	"medsen/internal/sensor"
+	"medsen/internal/sigproc"
 )
 
 func testAcquisition(t *testing.T) lockin.Acquisition {
@@ -302,5 +304,37 @@ func TestLinkedAnalyzerValidation(t *testing.T) {
 	}
 	if _, err := a.Analyze(context.Background(), lockin.Acquisition{}); err == nil {
 		t.Error("expected dial error to propagate")
+	}
+}
+
+// TestMaxReportBytesHoldsThreeHourReport re-derives MaxReportBytes from
+// what it rests on: the acquisition rate, the carrier count, the peak
+// detector's spacing, and one peak's report entry at its longest.
+func TestMaxReportBytesHoldsThreeHourReport(t *testing.T) {
+	if rate := lockin.DefaultConfig().SampleRateHz; rate != 450 {
+		t.Fatalf("sample rate %v Hz; MaxReportBytes assumes 450", rate)
+	}
+	carriers := len(lockin.DefaultCarriersHz())
+	if carriers != 8 {
+		t.Fatalf("%d carriers; MaxReportBytes assumes 8", carriers)
+	}
+	if pc := sigproc.DefaultPeakConfig(); pc.MinWidth+pc.MinSeparation < 4 {
+		t.Fatalf("peak detector %+v packs more than one peak in 4 samples", pc)
+	}
+	// encoding/json's longest float: 'f' form just above 1e-6, 17 digits.
+	const longest = -1.2345678901234567e-06
+	if b, _ := json.Marshal(longest); len(b) != 25 {
+		t.Fatalf("%s is %d bytes, want 25", b, len(b))
+	}
+	peak := cloud.PeakReport{TimeS: longest, Amplitude: longest, WidthS: longest}
+	for range carriers {
+		peak.AmplitudeByCarrier = append(peak.AmplitudeByCarrier, longest)
+	}
+	b, err := json.Marshal([]cloud.PeakReport{peak, peak})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if perPeak := (len(b) - 1) / 2; perPeak > maxPeakJSONBytes { // "[", then entry and separator twice
+		t.Fatalf("a peak's entry takes %d bytes, maxPeakJSONBytes is %d", perPeak, maxPeakJSONBytes)
 	}
 }
