@@ -27,11 +27,11 @@ bench:
 
 # Refresh the committed hot-path baseline (run on a quiet machine).
 bench-json:
-	$(GO) run ./cmd/medsen-bench -json BENCH_17.json
+	$(GO) run ./cmd/medsen-bench -json BENCH_26.json
 
 # Re-measure the hot paths and fail on a regression vs. the baseline.
 bench-compare:
-	$(GO) run ./cmd/medsen-bench -compare BENCH_17.json
+	$(GO) run ./cmd/medsen-bench -compare BENCH_26.json
 
 # Allocation gate: the blocking flavour of bench-compare. Steady-state
 # allocs/op is deterministic, so it blocks at 25% — enough headroom for
@@ -43,7 +43,7 @@ bench-compare:
 # (bench-compare is the full check). Both compares run the harness at the
 # baseline's recorded GOMAXPROCS.
 bench-gate:
-	$(GO) run ./cmd/medsen-bench -compare BENCH_17.json -bench-time 200ms \
+	$(GO) run ./cmd/medsen-bench -compare BENCH_26.json -bench-time 200ms \
 		-threshold-allocs 25 -threshold-bytes 400 -threshold-ns 1000000
 
 # Fleet smoke: 100 simulated devices against a self-hosted service; fails on
@@ -88,6 +88,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecodeAcquisition -fuzztime 30s ./internal/csvio
 	$(GO) test -fuzz FuzzDecompressAcquisition -fuzztime 30s -fuzzminimizetime 1s ./internal/csvio
 	$(GO) test -fuzz FuzzInflate -fuzztime 30s -fuzzminimizetime 1s ./internal/csvio
+	$(GO) test -fuzz FuzzDeflate -fuzztime 30s -fuzzminimizetime 1s ./internal/csvio
 	$(GO) test -fuzz FuzzParseSample -fuzztime 30s ./internal/csvio
 	$(GO) test -fuzz FuzzBatchRequest -fuzztime 10s ./internal/cloud
 	$(GO) test -fuzz FuzzWorkqueueBodies -fuzztime 10s ./internal/cloud

@@ -133,7 +133,8 @@ func TestCompressIdenticalAcrossGOMAXPROCS(t *testing.T) {
 // TestLegacyArchiveDecodes pins that payloads packaged the old ways, as
 // spooled by phones before an upgrade, still decode to the same samples: one
 // zip.Writer.Create member streamed through archive/zip's deflate, and the
-// segment packager's output at deflate level 5, committed in testdata.
+// segment packager's output through compress/flate at levels 5 and 2,
+// committed in testdata.
 func TestLegacyArchiveDecodes(t *testing.T) {
 	acq := testAcquisition(t, 20)
 	csvText, err := referenceEncode(acq)
@@ -158,6 +159,13 @@ func TestLegacyArchiveDecodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSamplesIdentical(t, decompress(t, level5), testAcquisitionSeeded(t, 5, 2))
+
+	// The same capture, packaged while compress/flate deflated at level 2.
+	level2, err := os.ReadFile("testdata/level2-segmented.zip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSamplesIdentical(t, decompress(t, level2), testAcquisitionSeeded(t, 5, 2))
 }
 
 // TestCompressAllocatesLessThanItsCSV is the memory bound: packaging keeps a

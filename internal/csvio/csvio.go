@@ -10,7 +10,6 @@ import (
 	"archive/zip"
 	"bufio"
 	"bytes"
-	"compress/flate"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -40,9 +39,6 @@ const (
 	// primed with the windowSize bytes before it, so its matches reach
 	// across the cut as they would in one serial stream.
 	windowSize = 32 << 10
-	// deflateLevel is the one that ships a capture soonest: packaging, the
-	// 4G transfer and the cloud's decode together (DESIGN.md §12).
-	deflateLevel = 2
 )
 
 // EncodeAcquisition writes the acquisition as CSV: a header row of
@@ -125,32 +121,55 @@ func (e *encoder) appendRows(dst []byte, limit int) []byte {
 }
 
 // DecodeBuffer holds reusable decode state for DecompressAcquisitionBuffer:
-// the sample storage, the line reader, room for a row longer than the
-// reader's buffer, the chunk ring the member is inflated into, and the
-// inflater with its Huffman tables. Sustained decoding (one upload after
-// another in the cloud service) then allocates nothing per row, per chunk
-// or per deflate block. The zero value is ready to use; a buffer must not
-// be shared between concurrent decodes.
+// the sample storage, the line reader, the chunk ring the member is inflated
+// into, and the inflater with its Huffman tables. Sustained decoding (one
+// upload after another in the cloud service) then allocates nothing per row,
+// per chunk or per deflate block. The zero value is ready to use; a buffer
+// must not be shared between concurrent decodes.
 type DecodeBuffer struct {
 	samples [][]float64
 	times   []float64
 	rd      *bufio.Reader
-	long    []byte
 	ring    ring
 	z       inflater
 }
 
-// readBufferSize is the line reader's buffer. A longer row is gathered in
-// DecodeBuffer.long.
+// Decode bounds. They are not options either: they state what a phone
+// writes, so that a payload cannot make the cloud hold more than its header
+// allows (DESIGN.md §12).
+const (
+	// maxFieldBytes is the longest field a phone writes: a float64 in
+	// strconv's shortest form, such as -2.2250738585072014e-308.
+	maxFieldBytes = 24
+	// maxCarriers bounds a header's channel columns: twice the paper's
+	// 8-carrier set (§VI-D).
+	maxCarriers = 16
+	// maxHeaderBytes is the longest header: "time_s" and maxCarriers columns
+	// of ",ch_", an int64 and "Hz".
+	maxHeaderBytes = len("time_s") + maxCarriers*len(",ch_-9223372036854775808Hz")
+	// maxRows is the paper's longest capture, 3 h at 450 Hz (§VII-B).
+	maxRows = 3 * 3600 * 450
+)
+
+// maxRowBytes is the longest row of a capture with the given carriers: a
+// time and a sample per carrier, and the commas between them.
+func maxRowBytes(carriers int) int { return (carriers+1)*maxFieldBytes + carriers }
+
+// readBufferSize is the line reader's buffer. Every line the bounds allow,
+// its line ending included, fits in it, so a line that fills it is rejected
+// before any of it is gathered.
 const readBufferSize = 4 << 10
+
+// A compile-time check that the longest header and row fit in the buffer.
+const _ = uint(readBufferSize - 2 - max(maxHeaderBytes, (maxCarriers+1)*maxFieldBytes+maxCarriers))
 
 // decodeAcquisition parses a CSV produced by EncodeAcquisition, recovering
 // the sampling rate from the time column. It scans the DESIGN.md §12 format
 // row by row: a header of "time_s" and canonical channel columns, then rows
 // of unquoted numbers, with encoding/csv's line endings and blank lines. Any
-// quote is rejected. Fields are parsed in place, so a warmed buffer
-// allocates nothing per row. Sample storage is drawn from buf (nil allocates
-// a fresh one).
+// quote is rejected, and so is a header, row or row count past its bound.
+// Fields are parsed in place, so a warmed buffer allocates nothing per row.
+// Sample storage is drawn from buf (nil allocates a fresh one).
 func decodeAcquisition(r io.Reader, buf *DecodeBuffer) (lockin.Acquisition, error) {
 	if buf == nil {
 		buf = new(DecodeBuffer)
@@ -162,13 +181,16 @@ func decodeAcquisition(r io.Reader, buf *DecodeBuffer) (lockin.Acquisition, erro
 	// A pooled buffer must not keep the source (a zip member reader) alive.
 	defer buf.rd.Reset(nil)
 
-	header, err := buf.row()
+	header, err := buf.row(maxHeaderBytes)
 	if err != nil {
 		return lockin.Acquisition{}, fmt.Errorf("%w: reading header: %v", ErrBadCSV, err)
 	}
 	first, cols, _ := bytes.Cut(header, comma)
 	if string(first) != "time_s" || len(cols) == 0 {
 		return lockin.Acquisition{}, fmt.Errorf("%w: bad header %q", ErrBadCSV, header)
+	}
+	if n := bytes.Count(cols, comma) + 1; n > maxCarriers {
+		return lockin.Acquisition{}, fmt.Errorf("%w: %d channels, at most %d", ErrBadCSV, n, maxCarriers)
 	}
 	channels := bytes.Split(cols, comma)
 	carriers := make([]float64, len(channels))
@@ -193,13 +215,17 @@ func decodeAcquisition(r io.Reader, buf *DecodeBuffer) (lockin.Acquisition, erro
 		buf.samples = samples
 		buf.times = times
 	}()
+	rowLimit := maxRowBytes(len(carriers))
 	for {
-		row, err := buf.row()
+		row, err := buf.row(rowLimit)
 		if errors.Is(err, io.EOF) {
 			break
 		}
 		if err != nil {
 			return lockin.Acquisition{}, fmt.Errorf("%w: %v", ErrBadCSV, err)
+		}
+		if len(times) == maxRows {
+			return lockin.Acquisition{}, fmt.Errorf("%w: more than %d rows", ErrBadCSV, maxRows)
 		}
 		if n := bytes.Count(row, comma) + 1; n != len(carriers)+1 {
 			return lockin.Acquisition{}, fmt.Errorf("%w: row has %d fields, want %d",
@@ -252,19 +278,14 @@ var (
 // row returns the next non-blank line without its line ending, as
 // encoding/csv reads lines: "\n" or "\r\n" end a line, and one "\r" before
 // the end of the input is dropped. It returns io.EOF after the last row, and
-// an error for a row holding a quote: no field of the format is quoted, so
-// rows stay comparable to what encoding/csv parses. The row aliases the
-// reader's buffer (or buf.long) until the next call.
-func (buf *DecodeBuffer) row() ([]byte, error) {
+// an error for a row longer than limit bytes or holding a quote: no field of
+// the format is quoted, so rows stay comparable to what encoding/csv parses.
+// The row aliases the reader's buffer until the next call.
+func (buf *DecodeBuffer) row(limit int) ([]byte, error) {
 	for {
 		line, err := buf.rd.ReadSlice('\n')
 		if err == bufio.ErrBufferFull {
-			buf.long = append(buf.long[:0], line...)
-			for err == bufio.ErrBufferFull {
-				line, err = buf.rd.ReadSlice('\n')
-				buf.long = append(buf.long, line...)
-			}
-			line = buf.long
+			return nil, fmt.Errorf("row longer than %d bytes", limit)
 		}
 		if err != nil && (err != io.EOF || len(line) == 0) {
 			return nil, err
@@ -273,6 +294,9 @@ func (buf *DecodeBuffer) row() ([]byte, error) {
 		line = bytes.TrimSuffix(line, []byte{'\r'})
 		if len(line) == 0 {
 			continue
+		}
+		if len(line) > limit {
+			return nil, fmt.Errorf("row longer than %d bytes", limit)
 		}
 		if bytes.IndexByte(line, '"') >= 0 {
 			return nil, errQuoted
@@ -330,30 +354,23 @@ func CompressAcquisition(acq lockin.Acquisition) ([]byte, error) {
 	go cutSegments(enc, maxSegments, free, jobs, order)
 
 	var (
-		chunks     [][]byte
-		crc        uint32
-		raw, comp  uint64
-		deflateErr error
+		chunks    [][]byte
+		crc       uint32
+		raw, comp uint64
 	)
 	for seg := range order {
 		<-seg.done
 		data := seg.csv[seg.window:]
 		crc = crc32.Update(crc, crc32.IEEETable, data)
 		raw += uint64(len(data))
-		comp += uint64(seg.out.Len())
-		chunks = append(chunks, bytes.Clone(seg.out.Bytes()))
-		if deflateErr == nil {
-			deflateErr = seg.err
-		}
+		comp += uint64(len(seg.out))
+		chunks = append(chunks, bytes.Clone(seg.out))
 		free <- seg
 	}
 	wg.Wait()
 	close(free)
 	for seg := range free {
 		segmentPool.Put(seg)
-	}
-	if deflateErr != nil {
-		return nil, fmt.Errorf("csvio: compressing: %w", deflateErr)
 	}
 
 	var buf bytes.Buffer
@@ -393,9 +410,8 @@ type segment struct {
 	csv    []byte
 	window int
 	last   bool
-	out    bytes.Buffer  // the segment's deflate blocks
-	err    error         // from deflating it
-	done   chan struct{} // receives once out and err are set
+	out    []byte        // the segment's deflate blocks
+	done   chan struct{} // receives once out is set
 }
 
 var segmentPool = sync.Pool{New: func() any {
@@ -449,15 +465,14 @@ func cutSegments(enc *encoder, maxSegments int, free <-chan *segment, jobs, orde
 }
 
 // deflateSegments deflates segments from jobs until it is closed. A worker
-// that gets no segment takes no compressor.
+// that gets no segment takes no encoder.
 func deflateSegments(jobs <-chan *segment) {
 	var d *deflater
 	for seg := range jobs {
 		if d == nil {
 			d = deflaterPool.Get().(*deflater)
 		}
-		seg.out.Reset()
-		seg.err = d.deflate(seg)
+		seg.out = d.deflate(seg.out[:0], seg.csv, seg.window, seg.last)
 		seg.done <- struct{}{}
 	}
 	if d != nil {
@@ -465,50 +480,9 @@ func deflateSegments(jobs <-chan *segment) {
 	}
 }
 
-// deflater is one worker's compressor, kept across segments and captures: a
-// flate.Writer carries close to a megabyte of tables. flate.NewWriterDict
-// would fix one dictionary per writer, so a segment is primed instead by
-// compressing its window into io.Discard and sync-flushing: the window is
-// then in the compressor's history, and its own blocks start on a byte
-// boundary.
-type deflater struct {
-	fw  *flate.Writer
-	dst redirect
-}
-
-// redirect is the flate.Writer's destination, switched between priming and
-// the segment's own output.
-type redirect struct{ io.Writer }
-
-var deflaterPool = sync.Pool{New: func() any {
-	d := new(deflater)
-	d.fw, _ = flate.NewWriter(&d.dst, deflateLevel) // the level is valid
-	return d
-}}
-
-// deflate compresses seg's own bytes into seg.out. Every segment but the
-// last ends on a sync flush, which ends its blocks on a byte boundary
-// without a final block, so the outputs concatenate into one deflate stream.
-func (d *deflater) deflate(seg *segment) error {
-	d.dst.Writer = io.Discard
-	d.fw.Reset(&d.dst)
-	if seg.window > 0 {
-		if _, err := d.fw.Write(seg.csv[:seg.window]); err != nil {
-			return err
-		}
-		if err := d.fw.Flush(); err != nil {
-			return err
-		}
-	}
-	d.dst.Writer = &seg.out
-	if _, err := d.fw.Write(seg.csv[seg.window:]); err != nil {
-		return err
-	}
-	if seg.last {
-		return d.fw.Close()
-	}
-	return d.fw.Flush()
-}
+// deflaterPool keeps the workers' encoders across captures: each carries
+// its hash table and a block's tokens, about 400 KB.
+var deflaterPool = sync.Pool{New: func() any { return new(deflater) }}
 
 // Decode pipeline constants. Like the packaging constants they are not
 // options; unlike them they fix no payload byte, only how far the inflater

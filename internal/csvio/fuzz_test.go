@@ -22,9 +22,10 @@ import (
 // encoding/csv decoder it replaced: arbitrary text must yield an error or a
 // structurally consistent acquisition with a finite, positive sample rate
 // and finite samples, never a panic, and both decoders must accept and
-// reject the same inputs with bit-identical carriers, rate and samples. The
-// one exception is a quote: encoding/csv unquotes a quoted number, the
-// scanner rejects any input that holds a quote, since no phone writes one.
+// reject the same inputs with bit-identical carriers, rate and samples. There
+// are two exceptions, inputs no phone writes, which the scanner must reject
+// whatever encoding/csv makes of them: a quote, which encoding/csv unquotes,
+// and a header, row or row count past the decoder's bounds (see pastBound).
 func FuzzDecodeAcquisition(f *testing.F) {
 	f.Add("time_s,ch_500000Hz\n0,1\n0.002,0.99\n")
 	f.Add("time_s,ch_500000Hz,ch_2000000Hz\n0,1,1\n0.002,1,1\n0.004,0.9,0.95\n")
@@ -47,6 +48,12 @@ func FuzzDecodeAcquisition(f *testing.F) {
 		if strings.Contains(text, `"`) {
 			if err == nil {
 				t.Fatal("accepted an input holding a quote")
+			}
+			return
+		}
+		if pastBound(text) {
+			if err == nil {
+				t.Fatal("accepted an input past the decoder's bounds")
 			}
 			return
 		}
@@ -84,6 +91,30 @@ func FuzzDecodeAcquisition(f *testing.F) {
 			}
 		}
 	})
+}
+
+// pastBound reports whether text, read as the scanner reads its lines, has a
+// header longer than maxHeaderBytes or with more than maxCarriers channels,
+// a row longer than maxRowBytes allows for those channels, or more than
+// maxRows rows.
+func pastBound(text string) bool {
+	carriers, rows := -1, 0
+	for _, line := range strings.Split(text, "\n") {
+		line = strings.TrimSuffix(line, "\r")
+		switch {
+		case line == "":
+		case carriers < 0:
+			carriers = strings.Count(line, ",")
+			if len(line) > maxHeaderBytes || carriers > maxCarriers {
+				return true
+			}
+		default:
+			if rows++; len(line) > maxRowBytes(carriers) || rows > maxRows {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // sameBits reports whether a and b hold the same float64 bit patterns.
@@ -189,7 +220,7 @@ func FuzzDecompressAcquisition(f *testing.F) {
 		h.CRC32 ^= 1
 		return raw
 	}))
-	f.Add(createdPayload(f, breakRowAfter(csvText, chunkSize+1)))
+	f.Add(createdPayload(f, breakRowAfter(csvText, len(csvText)*3/4)))
 	f.Add([]byte("not a zip"))
 
 	var buf, refBuf DecodeBuffer

@@ -68,11 +68,15 @@ var (
 	fixedLitMin, fixedDistMin uint
 )
 
-func init() {
-	lengthBase := [...]uint32{3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 15, 17, 19, 23, 27, 31,
+// Each length symbol's shortest length and extra-bit count, symbol 257 first.
+var (
+	lengthBase = [29]uint32{3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 15, 17, 19, 23, 27, 31,
 		35, 43, 51, 59, 67, 83, 99, 115, 131, 163, 195, 227, 258}
-	lengthExtra := [...]uint32{0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2,
+	lengthExtra = [29]uint32{0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2,
 		3, 3, 3, 3, 4, 4, 4, 4, 5, 5, 5, 5, 0}
+)
+
+func init() {
 	for s := range litlenSyms {
 		switch {
 		case s < 256:
@@ -87,11 +91,8 @@ func init() {
 	}
 	for s := range distSyms {
 		switch {
-		case s < 4:
-			distSyms[s] = uint32(s+1) << 16
 		case s < 30:
-			extra := uint32(s-2) >> 1
-			distSyms[s] = (1<<(extra+1)+1+uint32(s&1)<<extra)<<16 | extra<<4
+			distSyms[s] = distBase(s)<<16 | distExtra(s)<<4
 		default:
 			distSyms[s] = entInvalid
 		}
@@ -119,6 +120,18 @@ func init() {
 	}
 	fixedDistMin, _ = buildTable(fixedDist[:], distBits, lens[:32], distSyms[:])
 }
+
+// distBase and distExtra are distance symbol s's shortest distance and its
+// extra-bit count.
+func distBase(s int) uint32 {
+	if s < 4 {
+		return uint32(s + 1)
+	}
+	extra := distExtra(s)
+	return 1<<(extra+1) + 1 + uint32(s&1)<<extra
+}
+
+func distExtra(s int) uint32 { return uint32(max(s-2, 0)) >> 1 }
 
 // buildTable fills t, whose primary part has 1<<primary entries, with the
 // canonical Huffman code of the given code lengths, each symbol's entry

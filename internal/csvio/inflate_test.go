@@ -221,6 +221,43 @@ func TestDecodeMemoryIndependentOfLength(t *testing.T) {
 	}
 }
 
+// TestDecodeMemoryBoundedByHeader decodes payloads that inflate a few KB
+// into many MB the format does not allow: one row of 32 MiB under a
+// one-carrier header, and a header of a million channels. Each is rejected
+// with less than 1 MB allocated, the fresh DecodeBuffer's ring included:
+// a line that fills the line reader's buffer is past every bound, so none
+// is gathered.
+func TestDecodeMemoryBoundedByHeader(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops items, so allocations vary")
+	}
+	longRow := append([]byte("time_s,ch_500000Hz\n"), bytes.Repeat([]byte{'0'}, 32<<20)...)
+	wideHeader := append([]byte("time_s"), bytes.Repeat([]byte(",ch_1Hz"), 1<<20)...)
+	for _, tc := range []struct {
+		name string
+		csv  []byte
+	}{
+		{"32 MiB row", append(longRow, ",1\n0.002,1\n"...)},
+		{"a million channels", append(wideHeader, "\n0,1\n"...)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			payload := createdPayload(t, tc.csv)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := DecompressAcquisition(payload)
+			runtime.ReadMemStats(&after)
+			allocated := after.TotalAlloc - before.TotalAlloc
+			t.Logf("%d B payload, %d B of CSV: %d B allocated, %v", len(payload), len(tc.csv), allocated, err)
+			if !errors.Is(err, ErrBadCSV) {
+				t.Fatalf("error %v, want ErrBadCSV", err)
+			}
+			if allocated >= 1<<20 {
+				t.Fatalf("allocated %d B before rejecting the payload", allocated)
+			}
+		})
+	}
+}
+
 // ringBytes is the size of buf's chunk ring.
 func ringBytes(buf *DecodeBuffer) int {
 	n := 0
